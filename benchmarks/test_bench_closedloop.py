@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 
 from repro.core.framework import AIPoWFramework
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
+from repro.net.sim.closedloop import SessionSpec
+from repro.net.sim.fastsim import FastSimulation
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import make_population
@@ -26,7 +27,7 @@ def _run(difficulty: int, seed: int = 11) -> float:
         SessionSpec(client=c, exchanges=10, think_time=0.2) for c in clients
     ]
     framework = AIPoWFramework(ConstantModel(0.0), FixedPolicy(difficulty))
-    report = ClosedLoopSimulation(framework, seed=seed).run(sessions)
+    report = FastSimulation(framework, seed=seed).run_sessions(sessions)
     return report.throughput
 
 

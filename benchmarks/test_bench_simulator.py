@@ -6,9 +6,9 @@ simulator silently caps the experiment sizes everything else uses).
 
 from __future__ import annotations
 
+from reference_sim import EventEngine
 from repro.core.framework import AIPoWFramework
-from repro.net.sim.engine import EventEngine
-from repro.net.sim.simulation import Simulation
+from repro.net.sim.fastsim import FastSimulation
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
@@ -16,7 +16,7 @@ from repro.traffic.profiles import BENIGN_PROFILE
 
 
 def test_engine_event_throughput(benchmark):
-    """Pure engine overhead: schedule + dispatch of 10k no-op events."""
+    """Reference engine overhead: schedule + dispatch of 10k no-op events."""
 
     def run_10k():
         engine = EventEngine()
@@ -36,7 +36,7 @@ def test_simulation_requests_per_second(benchmark):
     framework = AIPoWFramework(ConstantModel(3.0), FixedPolicy(10))
 
     def run():
-        return Simulation(framework, seed=1).run(trace)
+        return FastSimulation(framework, seed=1).run(trace)
 
     report = benchmark.pedantic(run, iterations=1, rounds=3)
     assert report.requests == len(trace)

@@ -1,12 +1,10 @@
 """Experiment `kernels`: per-cohort array-kernel microbenchmarks.
 
 After vectorization the fastsim hot loop bottoms out in a handful of
-small per-cohort kernels (:mod:`repro.net.sim.kernels`): the FIFO
+small per-cohort numpy kernels (:mod:`repro.net.sim.kernels`): the FIFO
 running sum, geometric solve sampling, and the patience/TTL comparison
-masks.  This experiment times each kernel on every available backend —
-pure numpy always; the numba-jitted variants when numba imports and
-passes its import-time parity assertion — so a backend swap's win (or
-absence) is a measured number, not a guess.
+masks.  This experiment times each one, so the per-cohort floor of the
+simulator is a measured number.
 
 Timings report the *minimum* over ``repeats`` invocations: the floor
 is the cost of the work itself, everything above it is scheduler noise,
@@ -65,47 +63,34 @@ def _kernel_inputs(config: KernelBenchConfig) -> dict[str, tuple]:
 def run_kernel_microbench(
     config: KernelBenchConfig | None = None,
 ) -> ExperimentResult:
-    """Time every kernel on every available backend; tabulate all."""
+    """Time every kernel; tabulate the best of ``repeats`` calls."""
     config = config or KernelBenchConfig()
     inputs = _kernel_inputs(config)
     rows = []
-    timings: dict[str, dict[str, float]] = {}
-    for kernel_name, backends in kernels.backends().items():
+    timings: dict[str, float] = {}
+    for kernel_name, fn in kernels.KERNELS.items():
         args = inputs[kernel_name]
-        for backend_name, fn in backends.items():
-            fn(*args)  # warm up (numba compiles on first call)
-            best = min(
-                _timed(fn, args) for _ in range(config.repeats)
-            )
-            timings.setdefault(kernel_name, {})[backend_name] = best
-            rows.append(
-                [
-                    kernel_name,
-                    backend_name,
-                    config.size,
-                    best * 1e6,
-                    config.size / best if best > 0 else float("inf"),
-                ]
-            )
-    notes = [
-        f"{config.size:,} elements per call, min over "
-        f"{config.repeats} repeats",
-        f"active backend: {kernels.active_backend()} "
-        f"(numba importable: {kernels.NUMBA_AVAILABLE})",
-        "jitted variants are bit-parity-asserted against numpy at "
-        "import; a mismatch or compile failure keeps numpy",
-    ]
+        fn(*args)  # warm up
+        best = min(_timed(fn, args) for _ in range(config.repeats))
+        timings[kernel_name] = best
+        rows.append(
+            [
+                kernel_name,
+                config.size,
+                best * 1e6,
+                config.size / best if best > 0 else float("inf"),
+            ]
+        )
     return ExperimentResult(
         experiment_id="kernels",
-        title="Per-cohort kernel microbench - numpy vs optional numba",
-        headers=["kernel", "backend", "elements", "best_us", "elements_per_s"],
+        title="Per-cohort kernel microbench",
+        headers=["kernel", "elements", "best_us", "elements_per_s"],
         rows=rows,
-        notes=notes,
-        extra={
-            "active_backend": kernels.active_backend(),
-            "numba_available": kernels.NUMBA_AVAILABLE,
-            "best_seconds": timings,
-        },
+        notes=[
+            f"{config.size:,} elements per call, min over "
+            f"{config.repeats} repeats",
+        ],
+        extra={"best_seconds": timings},
     )
 
 

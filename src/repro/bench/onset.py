@@ -20,7 +20,8 @@ from repro.attacks.botnet import BotnetAttacker
 from repro.bench.results import ExperimentResult
 from repro.core.framework import AIPoWFramework
 from repro.metrics.timeseries import TimelineCollector
-from repro.net.sim.simulation import ServerModel, Simulation
+from repro.net.sim.fastsim import FastSimulation
+from repro.net.sim.simulation import ServerModel, SimulationReport
 from repro.policies.adaptive import LoadAdaptivePolicy
 from repro.policies.linear import policy_2
 from repro.reputation.dabr import DAbRModel
@@ -89,15 +90,23 @@ def _build_trace(config: OnsetConfig) -> Trace:
     return Trace(entries)
 
 
-def _run_one(config: OnsetConfig, adaptive: bool) -> TimelineCollector:
+def _run_one(
+    config: OnsetConfig, adaptive: bool
+) -> tuple[TimelineCollector, SimulationReport]:
+    """One policy's run: its per-window timeline and the run report."""
     train, _ = generate_corpus(size=config.corpus_size, seed=7).split()
     policy = policy_2()
     if adaptive:
         policy = LoadAdaptivePolicy(policy, max_surcharge=4, smoothing=0.2)
     framework = AIPoWFramework(DAbRModel().fit(train), policy)
-    timeline = TimelineCollector(window=config.window)
+    trace = _build_trace(config)
+    profiles = {entry.request.client_ip: entry.profile for entry in trace}
+    timeline = TimelineCollector(window=config.window).attach(
+        framework.events,
+        lambda response: profiles[response.decision.request.client_ip],
+    )
     attacker = BotnetAttacker()
-    simulation = Simulation(
+    simulation = FastSimulation(
         framework,
         seed=config.seed,
         solve_deciders={MALICIOUS_PROFILE.name: attacker.should_solve},
@@ -105,18 +114,17 @@ def _run_one(config: OnsetConfig, adaptive: bool) -> TimelineCollector:
             BENIGN_PROFILE.name: BENIGN_PROFILE.patience,
             MALICIOUS_PROFILE.name: MALICIOUS_PROFILE.patience,
         },
-        timeline=timeline,
         server_model=ServerModel(resource_cost=0.004),
     )
-    simulation.run(_build_trace(config), until=config.duration * 2)
-    return timeline
+    report = simulation.run(trace, until=config.duration * 2)
+    return timeline, report
 
 
 def run_onset(config: OnsetConfig | None = None) -> ExperimentResult:
     """Chart per-window dynamics for static vs load-adaptive policies."""
     config = config or OnsetConfig()
-    static = _run_one(config, adaptive=False)
-    adaptive = _run_one(config, adaptive=True)
+    static, _ = _run_one(config, adaptive=False)
+    adaptive, _ = _run_one(config, adaptive=True)
 
     def lookup(pairs: list[tuple[float, float]], start: float) -> float:
         for t, value in pairs:

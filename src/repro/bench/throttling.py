@@ -28,7 +28,8 @@ from repro.policies.table import FixedPolicy
 from repro.reputation.dabr import DAbRModel
 from repro.reputation.dataset import generate_corpus
 from repro.reputation.ensemble import ConstantModel
-from repro.net.sim.simulation import Simulation, SimulationReport
+from repro.net.sim.fastsim import FastSimulation
+from repro.net.sim.simulation import SimulationReport
 from repro.traffic.generator import WorkloadGenerator
 from repro.traffic.profiles import BENIGN_PROFILE, MALICIOUS_PROFILE
 
@@ -99,7 +100,7 @@ def _simulate(
         duration=config.duration,
     )
     attacker = BotnetAttacker(max_difficulty=config.attacker_max_difficulty)
-    simulation = Simulation(
+    simulation = FastSimulation(
         framework,
         seed=config.sim_seed,
         pow_enabled=pow_enabled,

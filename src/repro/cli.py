@@ -22,13 +22,12 @@ interactive modes:
 * ``replay``    — feed a recorded trace back through any serving
   configuration and diff the decision streams;
 * ``campaign``  — run a named adversarial scenario spec (optionally
-  recording its golden trace; large-scale scenarios run on the
-  vectorized engine — or, with ``--procs N``, hash-sharded across N
-  worker processes — and record no trace);
+  recording its golden trace; large-scale scenarios run array
+  admission over a SoA population — or, with ``--procs N``,
+  hash-sharded across N worker processes — and record no trace);
 * ``trace``     — render a sampled-span dump (from ``serve --trace-out``
   or ``campaign --trace-out``) as a per-stage waterfall;
-* ``kernels``   — microbench the residual per-cohort array kernels on
-  every available backend (numpy always; numba when importable);
+* ``kernels``   — microbench the residual per-cohort numpy kernels;
 * ``profile``   — run any registered experiment under cProfile and
   print the top cumulative hotspots (multi-process experiments fold
   their workers' profiles in);
@@ -325,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="sample request spans during the run and dump them to "
-             "FILE (callback campaigns only; render with `repro trace`)",
+             "FILE (non-scale campaigns only; render with `repro "
+             "trace`)",
     )
     campaign.add_argument(
         "--trace-every", type=int, default=1, metavar="N",
@@ -357,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kernels = sub.add_parser(
         "kernels",
-        help="microbench the per-cohort array kernels on every "
-             "available backend",
+        help="microbench the per-cohort numpy kernels",
     )
     kernels.add_argument(
         "--size", type=int, default=100_000, metavar="N",
@@ -366,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kernels.add_argument(
         "--repeats", type=int, default=30, metavar="N",
-        help="timed repeats per kernel/backend; the minimum is "
-             "reported (default 30)",
+        help="timed repeats per kernel; the minimum is reported "
+             "(default 30)",
     )
 
     profile = sub.add_parser(
@@ -1198,8 +1197,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.link:
         if campaign.scale is None:
             print(f"campaign {args.scenario!r} is not large-scale; "
-                  "--link applies only to scale campaigns (the link "
-                  "substrate lives in the vectorized engine)")
+                  "--link applies only to scale campaigns (links are "
+                  "a per-population ScaleSpec setting)")
             return 2
         links = dict(campaign.scale.links)
         for override in args.link:
@@ -1224,7 +1223,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if campaign.scale is None:
             print(f"campaign {args.scenario!r} is not large-scale; "
                   "--procs applies only to scale campaigns (the "
-                  "parallel driver shards the vectorized engine)")
+                  "parallel driver shards SoA populations)")
             return 2
         try:
             campaign = _dc.replace(

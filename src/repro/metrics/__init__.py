@@ -5,7 +5,7 @@ from repro.metrics.collector import (
     GatewayMetrics,
     MetricsCollector,
 )
-from repro.metrics.histogram import LatencyHistogram, SampleSet
+from repro.metrics.histogram import SampleSet
 from repro.metrics.reporting import ascii_chart, render_series, render_table
 from repro.metrics.stats import StreamingStats
 from repro.metrics.timeseries import TimelineCollector, TimeSeries
@@ -15,7 +15,6 @@ __all__ = [
     "TimeSeries",
     "TimelineCollector",
     "SampleSet",
-    "LatencyHistogram",
     "MetricsCollector",
     "ClassMetrics",
     "GatewayMetrics",

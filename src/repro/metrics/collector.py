@@ -151,8 +151,9 @@ class GatewayMetrics:
     ``gateway_queue_depth``) so one ``/metrics`` scrape sees the same
     numbers :meth:`summary` ships; pass a shared ``registry`` to expose
     them, or omit it for a private one (isolated, as before).  The
-    size/depth series run in exact mode, so :meth:`summary` output is
-    bit-identical to the retained-sample implementation it replaced.
+    size/depth series keep O(buckets) state, so a long-running gateway
+    under a flood does not grow them; batch sizes are integers, so the
+    ``sum/count`` mean :meth:`summary` reports is exact.
     """
 
     def __init__(self, registry=None) -> None:
@@ -178,13 +179,11 @@ class GatewayMetrics:
             "gateway_batch_size",
             METRIC_CATALOG["gateway_batch_size"],
             buckets=_GATEWAY_BUCKETS,
-            exact=True,
         ).labels()
         self.queue_depths = registry.histogram(
             "gateway_queue_depth",
             METRIC_CATALOG["gateway_queue_depth"],
             buckets=_GATEWAY_BUCKETS,
-            exact=True,
         ).labels()
 
     @property

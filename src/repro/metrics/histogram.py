@@ -1,10 +1,8 @@
-"""Exact-quantile sample sets and log-scale latency histograms.
+"""Exact-quantile sample sets.
 
 Figure 2 reports the *median* of 30 trials, so quantiles must be exact:
 :class:`SampleSet` retains samples and computes any quantile by linear
-interpolation (numpy's default convention).  :class:`LatencyHistogram`
-buckets observations into log-spaced bins for compact distribution
-summaries in reports.
+interpolation (numpy's default convention).
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["SampleSet", "LatencyHistogram"]
+__all__ = ["SampleSet"]
 
 
 class SampleSet:
@@ -89,71 +87,3 @@ class SampleSet:
         if not self._values:
             raise ValueError("max of an empty sample set")
         return max(self._values)
-
-
-class LatencyHistogram:
-    """Log-spaced latency histogram from ``low`` to ``high`` seconds.
-
-    Observations below ``low`` land in the first bin, above ``high`` in
-    the overflow bin.  Bin edges are geometric, matching how latency
-    intuition works (1 ms vs 2 ms matters; 1.000 s vs 1.001 s does not).
-    """
-
-    def __init__(
-        self, low: float = 1e-4, high: float = 100.0, bins: int = 48
-    ) -> None:
-        if low <= 0 or high <= low:
-            raise ValueError(f"need 0 < low < high, got low={low} high={high}")
-        if bins < 1:
-            raise ValueError(f"bins must be >= 1, got {bins}")
-        self.low = low
-        self.high = high
-        self.edges = np.geomspace(low, high, bins + 1)
-        self.counts = np.zeros(bins + 1, dtype=np.int64)  # + overflow bin
-
-    def add(self, value: float) -> None:
-        if value < 0 or not math.isfinite(value):
-            raise ValueError(f"latency must be finite and >= 0, got {value!r}")
-        index = int(np.searchsorted(self.edges, value, side="right")) - 1
-        if index < 0:
-            index = 0
-        elif index >= len(self.counts) - 1:
-            index = len(self.counts) - 1
-        self.counts[index] += 1
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bin midpoints."""
-        if self.total == 0:
-            raise ValueError("quantile of an empty histogram")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        target = q * self.total
-        cumulative = 0
-        for i, count in enumerate(self.counts):
-            cumulative += int(count)
-            if cumulative >= target and count:
-                if i >= len(self.edges) - 1:
-                    return float(self.edges[-1])
-                return float(math.sqrt(self.edges[i] * self.edges[i + 1]))
-        return float(self.edges[-1])
-
-    def render(self, width: int = 40) -> str:
-        """ASCII rendering for reports; one row per non-empty bin."""
-        if self.total == 0:
-            return "(empty histogram)"
-        peak = int(self.counts.max())
-        rows = []
-        for i, count in enumerate(self.counts):
-            if not count:
-                continue
-            if i < len(self.edges) - 1:
-                label = f"{self.edges[i] * 1000:9.2f}ms"
-            else:
-                label = f">{self.high * 1000:8.0f}ms"
-            bar = "#" * max(1, int(width * int(count) / peak))
-            rows.append(f"{label} | {bar} {int(count)}")
-        return "\n".join(rows)

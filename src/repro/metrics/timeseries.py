@@ -10,7 +10,9 @@ latency/goodput timelines directly from simulation responses.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
+from repro.core.events import EventBus, EventKind, FrameworkEvent
 from repro.core.records import ServedResponse
 
 __all__ = ["TimeSeries", "TimelineCollector"]
@@ -83,10 +85,9 @@ class TimeSeries:
 class TimelineCollector:
     """Per-class latency and goodput timelines from responses.
 
-    Observe responses (directly or via
-    :meth:`~repro.metrics.collector.MetricsCollector`-style wiring) and
-    read back, per class: request rate, served rate, and mean served
-    latency per window.
+    Observe responses directly or :meth:`attach` to a framework's event
+    bus, and read back, per class: request rate, served rate, and mean
+    served latency per window.
     """
 
     def __init__(self, window: float = 1.0) -> None:
@@ -94,6 +95,24 @@ class TimelineCollector:
         self._latency: dict[str, TimeSeries] = {}
         self._served: dict[str, TimeSeries] = {}
         self._requests: dict[str, TimeSeries] = {}
+
+    def attach(
+        self, bus: EventBus, classifier: Callable[[ServedResponse], str]
+    ) -> "TimelineCollector":
+        """Subscribe to RESPONSE_SERVED events on ``bus``; returns self.
+
+        Each response is folded under ``classifier(response)`` at the
+        event's timestamp, which simulators stamp with the response's
+        completion time.
+        """
+
+        def on_event(event: FrameworkEvent) -> None:
+            response = event.payload.get("response")
+            if isinstance(response, ServedResponse):
+                self.observe(classifier(response), response, event.timestamp)
+
+        bus.subscribe(on_event, kinds=[EventKind.RESPONSE_SERVED])
+        return self
 
     def observe(self, cls: str, response: ServedResponse, at: float) -> None:
         """Fold one terminal response (completed at time ``at``)."""

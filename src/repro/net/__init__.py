@@ -10,17 +10,15 @@ that serves the same protocol through ``challenge_batch``.
 from repro.net.gateway import GatewayServer, LoadGenerator
 from repro.net.live import LiveClient, LiveServer
 from repro.net.sim import (
-    EventEngine,
+    FastSimulation,
     FixedDelayChannel,
     ServerModel,
-    Simulation,
     SimulationReport,
     SolveTimeModel,
 )
 
 __all__ = [
-    "EventEngine",
-    "Simulation",
+    "FastSimulation",
     "SimulationReport",
     "ServerModel",
     "SolveTimeModel",

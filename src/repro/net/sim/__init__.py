@@ -8,19 +8,12 @@ from repro.net.sim.channel import (
     LognormalChannel,
     UniformJitterChannel,
 )
-from repro.net.sim.closedloop import (
-    ClosedLoopReport,
-    ClosedLoopSimulation,
-    SessionSpec,
-)
-from repro.net.sim.engine import EventEngine, ScheduledEvent
+from repro.net.sim.closedloop import ClosedLoopReport, SessionSpec
 from repro.net.sim.fastsim import FastFeedback, FastSimulation
-from repro.net.sim.simulation import ServerModel, Simulation, SimulationReport
+from repro.net.sim.simulation import ServerModel, SimulationReport
 from repro.net.sim.solvetime import SolveSample, SolveTimeModel
 
 __all__ = [
-    "EventEngine",
-    "ScheduledEvent",
     "CalendarQueue",
     "Channel",
     "FixedDelayChannel",
@@ -31,10 +24,8 @@ __all__ = [
     "AgentPopulation",
     "FastFeedback",
     "FastSimulation",
-    "Simulation",
     "SimulationReport",
     "ServerModel",
-    "ClosedLoopSimulation",
     "ClosedLoopReport",
     "SessionSpec",
 ]

@@ -1,8 +1,8 @@
 """Bucketed calendar-queue scheduler for cohort-based simulation.
 
-The callback :class:`~repro.net.sim.engine.EventEngine` orders events in
-a binary heap and dispatches them one Python callback at a time — ideal
-for correctness, hopeless for a million agents.  A *calendar queue*
+A callback event engine orders events in a binary heap and dispatches
+them one Python callback at a time — ideal for correctness, hopeless
+for a million agents.  A *calendar queue*
 (Brown, CACM 1988) instead hashes events into time buckets; the
 vectorized simulator exploits the structure by dequeuing a whole bucket
 — a *cohort* of same-instant events — in one operation and processing

@@ -1,9 +1,9 @@
-"""Vectorized simulation core: SoA agent state, cohort event dispatch.
+"""The simulator: SoA agent state, cohort event dispatch.
 
-The callback engine (:mod:`repro.net.sim.engine`) pays a Python
-closure, a heap operation and a per-event dispatch for every request —
-which caps campaign scale at thousands of agents.  This module is the
-same network/server/solve model re-expressed over arrays:
+A callback event loop pays a Python closure, a heap operation and a
+per-event dispatch for every request, which caps campaign scale at
+thousands of agents.  This module expresses the network/server/solve
+model over arrays instead:
 
 * **state** is struct-of-arrays (:class:`~repro.net.sim.agents.AgentPopulation`
   plus per-run vectors: per-address CPU-free times, per-fire solve
@@ -12,48 +12,59 @@ same network/server/solve model re-expressed over arrays:
   (:class:`~repro.net.sim.calendar.CalendarQueue`) that dequeues whole
   same-timestep *cohorts* instead of single events;
 * **admission** drives each cohort through the framework's batch
-  pipeline — :meth:`~repro.core.framework.AIPoWFramework.challenge_batch`
-  when anything (a recorder) listens on the event bus, or the
-  object-free :meth:`~repro.core.framework.AIPoWFramework.difficulties_for_scores`
-  array kernel when nothing does (models whose scores react to
-  response outcomes — behavioural feedback — are rejected loudly:
-  this engine emits no per-response events, so their state would
-  silently freeze; use the callback engine, or :class:`FastFeedback`
-  in agent-driven runs);
+  pipeline.  When anything (a recorder, a tracer, a timeline) listens
+  on the event bus this is
+  :meth:`~repro.core.framework.AIPoWFramework.challenge_batch`, and
+  every terminal outcome goes back onto the bus as one
+  ``RESPONSE_SERVED`` event stamped with its completion time.  When
+  nothing listens it is the object-free
+  :meth:`~repro.core.framework.AIPoWFramework.difficulties_for_scores`
+  array kernel, which builds no per-request object at all.  Models
+  whose scores react to response outcomes (behavioural feedback) are
+  rejected loudly; agent-driven runs model feedback with
+  :class:`FastFeedback`;
 * **solving** is vectorised geometric sampling (the numpy counterpart
   of :func:`repro.pow.solver.sample_attempts`).
 
 No per-request Python closure exists on the hot path.
 
+The model
+---------
+* **network**: each leg of the request/challenge/solution/response
+  exchange crosses a :class:`~repro.net.sim.channel.Channel`, plus an
+  optional per-agent access link (:mod:`repro.net.sim.links`);
+* **server**: one FIFO queue with distinct costs for issuing a
+  challenge, verifying a solution and serving the resource
+  (:class:`~repro.net.sim.simulation.ServerModel`); its backlog feeds a
+  :class:`~repro.policies.adaptive.LoadAdaptivePolicy` in open-loop runs;
+* **client CPU**: per-address serialisation, so a client grinding one
+  puzzle cannot grind another at the same time, which is how PoW
+  throttles flooding sources;
+* **outcomes**: clients abandon puzzles that exceed their patience,
+  per-profile solve deciders let attack models refuse puzzles outright,
+  and solutions arriving after the puzzle TTL expire.
+
 Fidelity contract
 -----------------
-The simulated *model* is the one documented in
-:mod:`repro.net.sim.simulation`: FIFO server with distinct
-challenge/verify/resource costs, per-address CPU serialisation,
-patience-bounded solving, TTL expiry.  Admission **decision streams**
-(request order, scores, difficulties — everything
-:meth:`~repro.core.records.DecisionRecord.canonical` compares) are
-bit-identical to the callback engine on the same workload; the parity
-matrix in ``tests/replay/test_fastsim_parity.py`` gates this on every
+Admission **decision streams** (request order, scores, difficulties:
+everything :meth:`~repro.core.records.DecisionRecord.canonical`
+compares) are bit-identical to the callback reference simulator kept
+in the test tree (``tests/reference_sim.py``); the parity matrix in
+``tests/replay/test_fastsim_parity.py`` gates this on every
 golden-trace scenario.  *Timing* randomness (channel jitter, solve
-draws) comes from a numpy generator rather than ``random.Random``, so
-latency samples are deterministic per seed but drawn in a different
-stream than the callback engine — metrics agree statistically, not bit
-for bit.  One corollary: a load-adaptive policy's decisions are a
+draws) comes from a numpy generator, so latency samples are
+deterministic per seed but agree with the reference statistically, not
+bit for bit.  One corollary: a load-adaptive policy's decisions are a
 function of queue timing, so under solving traffic they inherit the
-timing stream's seed-sensitivity (two callback runs with different
-seeds diverge the same way); the engines still interleave load
+timing stream's seed-sensitivity; the engines still interleave load
 observations with decisions identically, which the parity suite pins
-down with deterministic-timing workloads.  The callback engine remains
-the reference implementation and
-still owns the odd TTL/timeout edge (it emits per-response bus events,
-which behavioural feedback and timeline collectors consume).
+down with deterministic-timing workloads.
 
 With ``tick`` set, event times are quantized up onto a grid, merging
-near-simultaneous events into large cohorts — the knob the
+near-simultaneous events into large cohorts: the knob the
 million-agent scenarios use.  ``tick=None`` keeps exact times (cohorts
-form only at genuinely equal instants, exactly like the callback
-engine's same-timestep arrival batching).
+form only at genuinely equal instants, exactly like the reference's
+same-timestep arrival batching).
 """
 
 from __future__ import annotations
@@ -65,13 +76,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.events import EventKind
 from repro.core.framework import AIPoWFramework
-from repro.core.records import ResponseStatus
+from repro.core.records import ResponseStatus, ServedResponse
 from repro.metrics.collector import MetricsCollector
 from repro.net.sim import kernels
 from repro.net.sim.agents import AgentPopulation
 from repro.net.sim.calendar import CalendarQueue
 from repro.net.sim.channel import Channel, FixedDelayChannel
+from repro.net.sim.closedloop import ClosedLoopReport
 from repro.net.sim.links import LinkSet
 from repro.net.sim.simulation import ServerModel, SimulationReport
 from repro.policies.adaptive import LoadAdaptivePolicy
@@ -101,7 +114,7 @@ def sample_attempts_array(
     mask = d > 0
     if mask.any():
         # RNG consumption (one uniform per positive difficulty) is
-        # owned here; the kernel is backend-swappable but stream-free.
+        # owned here; the kernel itself is stream-free.
         u = rng.random(int(mask.sum()))
         attempts[mask] = kernels.geometric_attempts(d[mask], u)
     return attempts
@@ -248,10 +261,9 @@ class FastFeedback:
     monotone and within-cohort decay is zero.
 
     The modeled simulator never produces REJECTED/REPLAYED verdicts
-    (sampled solutions always verify), so — as with the callback
-    engine — only the *reward* direction moves: this is exactly the
-    surface a feedback-poisoning adversary farms, and what the
-    ``poison-ramp`` scenario measures.
+    (sampled solutions always verify), so only the *reward* direction
+    moves: this is exactly the surface a feedback-poisoning adversary
+    farms, and what the ``poison-ramp`` scenario measures.
     """
 
     def __init__(self, n_agents: int, config=None) -> None:
@@ -320,28 +332,65 @@ class FastSimulation:
 
     Drives three workload shapes through one engine:
 
-    * :meth:`run` — an open-loop :class:`~repro.traffic.trace.Trace`,
-      API-compatible with :meth:`Simulation.run`;
-    * :meth:`run_fires` — a SoA fire schedule over an
+    * :meth:`run`: an open-loop :class:`~repro.traffic.trace.Trace`;
+    * :meth:`run_fires`: a SoA fire schedule over an
       :class:`AgentPopulation` (the million-agent path: no request
       objects anywhere);
-    * :meth:`run_sessions` — closed-loop sessions, API-compatible with
-      :meth:`ClosedLoopSimulation.run`.
+    * :meth:`run_sessions`: closed-loop
+      :class:`~repro.net.sim.closedloop.SessionSpec` sessions.
 
-    Parameters mirror :class:`~repro.net.sim.simulation.Simulation`;
-    the additions are ``tick`` (cohort quantization grid, ``None`` for
-    exact times), ``admission`` (``"auto"``/``"framework"``/
-    ``"array"`` — auto picks the object-free array kernel whenever
-    nothing subscribes to admission events and the model's scores are
-    time-invariant) and ``phase_timer`` (an optional
-    :class:`~repro.obs.registry.PhaseTimer` accumulating wall time,
-    cohort counts and item counts per event kind — ``arrive``,
-    ``xmit``, ``xmitsol``, ``solve``, plus the nested ``fifo``
-    sub-phase; ``None`` keeps the hot loop to a single no-op check
-    per cohort) and ``decision_log`` (when True, every open-loop
-    admission cohort appends ``(when, idx, scores, difficulties)`` to
-    :attr:`decisions` — the bitwise decision-stream probe the parallel
-    driver's parity tests compare; off by default, zero hot-path cost).
+    Parameters
+    ----------
+    framework:
+        The configured server pipeline.  Its
+        :attr:`~repro.core.config.FrameworkConfig.timing` provides the
+        default hash rate and channel delay.
+    channel:
+        One-way delay model; defaults to the calibrated fixed delay.
+    server_model:
+        FIFO service costs.
+    seed:
+        Seed for all randomness this run introduces (delays, solve
+        sampling).
+    pow_enabled:
+        When False, the server skips the whole PoW exchange and serves
+        every request directly: the "no defense" baseline.
+    solve_deciders:
+        Optional per-profile hooks; refusing a puzzle makes that client
+        drop it (counted as ABANDONED).
+    hash_rates / patiences:
+        Optional per-profile hash-rate (evaluations/second) and
+        patience (seconds a client grinds one puzzle before
+        abandoning; default 30 s) overrides.
+    load_reference:
+        Server backlog (seconds of queued work) that counts as load
+        1.0 when feeding a :class:`LoadAdaptivePolicy`.
+    recorder:
+        Optional :class:`~repro.replay.TraceRecorder`, attached to the
+        framework's event bus; submitted requests register their
+        profile and ground-truth score with it.
+    tick:
+        Cohort quantization grid, ``None`` for exact times.
+    admission:
+        ``"auto"``/``"framework"``/``"array"``; auto picks the
+        object-free array kernel whenever nothing subscribes to
+        admission or response events.
+    links:
+        Optional :class:`~repro.net.sim.links.LinkSet` assigning
+        per-population access links (per-agent RTT, loss, shared
+        bandwidth, retries); network-layer outcomes land in
+        :attr:`SimulationReport.link_stats`.
+    phase_timer:
+        Optional :class:`~repro.obs.registry.PhaseTimer` accumulating
+        wall time, cohort counts and item counts per event kind
+        (``arrive``, ``xmit``, ``xmitsol``, ``solve``, plus the nested
+        ``fifo`` sub-phase); ``None`` keeps the hot loop to a single
+        no-op check per cohort.
+    decision_log:
+        When True, every open-loop admission cohort appends ``(when,
+        idx, scores, difficulties)`` to :attr:`decisions`: the bitwise
+        decision-stream probe the parallel driver's parity tests
+        compare.
     """
 
     def __init__(
@@ -395,14 +444,13 @@ class FastSimulation:
         if recorder is not None:
             recorder.attach(framework.events)
 
-        #: Mirrors of the callback simulators' batching telemetry.
+        #: Same-timestep admission cohorts drained, and the largest.
         self.arrival_batches = 0
         self.largest_arrival_batch = 0
         self.events_processed = 0
         self._reset()
 
-    # Closed-loop spellings of the batching telemetry, mirroring
-    # ``ClosedLoopSimulation``'s attribute names.
+    # Closed-loop spellings of the batching telemetry.
     @property
     def admission_batches(self) -> int:
         return self.arrival_batches
@@ -425,6 +473,9 @@ class FastSimulation:
             [] if self._decision_log else None
         )
         self._open: _OpenLoopState | None = None
+        #: Framework mode only: the issued ``Challenge`` per request
+        #: (per session in closed loop) until its outcome is emitted.
+        self._challenges: list | None = None
         self._observe_load = observe_load
         self._link_session = (
             self.links.session() if self.links is not None else None
@@ -448,28 +499,25 @@ class FastSimulation:
 
         Queue ids come from the class's link assignment (``-1`` = no
         link); base delays are hash-derived from the packed address, so
-        they match the callback engine's per-IP lookups bit-for-bit.
+        they match the reference simulator's per-IP lookups bit-for-bit.
         """
         qids = self.links.queue_ids(class_names)[class_ids]
         return qids, self.links.base_delays(packed_ips, qids)
 
     def _admission_mode(self) -> str:
         # Stateful scorers (behavioural feedback) update from
-        # RESPONSE_SERVED events, which this engine never emits —
-        # their offsets would silently freeze mid-run regardless of
-        # admission mode, so reject loudly (mirroring the timeline
-        # rejection in Simulation.__init__).
+        # RESPONSE_SERVED events; this engine settles outcomes per
+        # cohort, ahead of their completion instants, and array mode
+        # pre-scores requests, so their offsets would drift from the
+        # sequential model.  Reject loudly.
         if self._stateful_scoring():
             raise ValueError(
                 "the model's scores react to response outcomes, which "
-                "the vectorized engine does not emit; use the callback "
-                "engine, or model feedback with FastFeedback in an "
-                "agent-driven run"
+                "the vectorized engine settles per cohort; model "
+                "feedback with FastFeedback in an agent-driven run"
             )
         if self._admission_request != "auto":
             return self._admission_request
-        from repro.core.events import EventKind
-
         events = self.framework.events
         listened = any(
             events.has_subscribers(kind)
@@ -478,6 +526,7 @@ class FastSimulation:
                 EventKind.SCORED,
                 EventKind.POLICY_APPLIED,
                 EventKind.PUZZLE_ISSUED,
+                EventKind.RESPONSE_SERVED,
             )
         )
         return "framework" if listened else "array"
@@ -524,18 +573,16 @@ class FastSimulation:
     def _fifo(self, at: float, costs: np.ndarray | float, count: int) -> np.ndarray:
         """FIFO completion times for ``count`` arrivals at ``at``.
 
-        Vectorised form of the callback engines' ``_server_complete``
-        recurrence: every item starts at ``max(arrival, busy)`` and the
-        backlog only ever grows within a same-instant cohort.  In
-        open-loop runs it feeds the backlog signal to a load-adaptive
-        policy exactly once per request, like ``Simulation``'s scalar
-        path (the callback closed-loop server model has no load
-        signal, so closed-loop runs skip it there too).
+        Vectorised form of the scalar FIFO recurrence: every item
+        starts at ``max(arrival, busy)`` and the backlog only ever
+        grows within a same-instant cohort.  In open-loop runs it feeds
+        the backlog signal to a load-adaptive policy exactly once per
+        request (the closed-loop server model has no load signal).
 
         Computed as one running sum seeded with the cohort's start
         time — the same left-associated additions the scalar
         recurrence performs — so completion times are bit-identical to
-        the callback engine, not merely ULP-close (they feed the load
+        the scalar recurrence, not merely ULP-close (they feed the load
         signal and the TTL-expiry comparison, where one ULP can flip a
         decision).
         """
@@ -573,7 +620,7 @@ class FastSimulation:
 
         Returns ``(solve_end, abandoned)``.  An abandoning client's CPU
         frees at ``receipt + patience`` (it ground until giving up),
-        matching the callback engine.  Agents appearing more than once
+        as in the sequential model.  Agents appearing more than once
         in a cohort fall back to a sequential recurrence for exactly
         the duplicated positions, preserving FIFO CPU hand-off.
         """
@@ -604,16 +651,18 @@ class FastSimulation:
         return solve_end, abandoned
 
     def _admit_framework(
-        self, requests, now
+        self, idx: np.ndarray, requests, now
     ) -> tuple[np.ndarray, np.ndarray]:
         """Framework-mode cohort admission: ``(scores, difficulties)``.
 
         One :meth:`AIPoWFramework.challenge_batch` call (full
-        per-request events for recorders) with the decisions pulled
-        back into arrays — the single extraction point for every
-        framework-admission branch.
+        per-request events for recorders and tracers) with the
+        decisions pulled back into arrays; the challenges are kept
+        under ``idx`` until :meth:`_respond` emits their outcomes.
         """
         challenges = self.framework.challenge_batch(requests, now=now)
+        for i, challenge in zip(idx.tolist(), challenges):
+            self._challenges[i] = challenge
         scores = np.array(
             [c.decision.reputation_score for c in challenges]
         )
@@ -621,6 +670,68 @@ class FastSimulation:
             [c.decision.difficulty for c in challenges], dtype=np.float64
         )
         return scores, difficulties
+
+    def _record(
+        self,
+        class_names: Sequence[str],
+        idx: np.ndarray,
+        cids: np.ndarray,
+        status: ResponseStatus | np.ndarray,
+        finish: np.ndarray,
+        started: np.ndarray,
+        scores: np.ndarray,
+        difficulties: np.ndarray,
+        attempts: np.ndarray,
+    ) -> None:
+        """Fold one terminal cohort into the report.
+
+        ``started`` holds each request's own timestamp (when its
+        client sent it), so latency is ``finish - started``; in
+        framework mode the outcomes also go onto the bus
+        (:meth:`_respond`).
+        """
+        self._touch(finish)
+        latency = np.maximum(0.0, finish - started)
+        self._buffers.record(
+            class_names, cids, status, latency, scores, difficulties,
+            attempts,
+        )
+        if self._challenges is not None:
+            self._respond(idx, status, finish, latency, attempts)
+
+    def _respond(
+        self,
+        idx: np.ndarray,
+        status: ResponseStatus | np.ndarray,
+        finish: np.ndarray,
+        latency: np.ndarray,
+        attempts: np.ndarray,
+    ) -> None:
+        """One ``RESPONSE_SERVED`` per outcome, stamped at ``finish``."""
+        if isinstance(status, ResponseStatus):
+            statuses = [status] * int(idx.size)
+        else:
+            statuses = [_STATUS_CODES[code] for code in status.tolist()]
+        emit = self.framework.events.emit
+        challenges = self._challenges
+        for i, st, at, lat, att in zip(
+            idx.tolist(), statuses, finish.tolist(), latency.tolist(),
+            attempts.tolist(),
+        ):
+            decision = challenges[i].decision
+            challenges[i] = None
+            response = ServedResponse(
+                decision=decision,
+                status=st,
+                latency=lat,
+                solve_attempts=int(att),
+                body=(
+                    f"resource:{decision.request.resource}"
+                    if st is ResponseStatus.SERVED
+                    else ""
+                ),
+            )
+            emit(EventKind.RESPONSE_SERVED, at, response=response)
 
     def _decide_solve(
         self,
@@ -665,7 +776,7 @@ class FastSimulation:
     # Open-loop: traces and fire schedules
     # ------------------------------------------------------------------
     def run(self, trace, until: float | None = None) -> SimulationReport:
-        """Replay an open-loop trace; drop-in for ``Simulation.run``."""
+        """Replay an open-loop trace to completion (or ``until``)."""
         entries = list(trace)
         class_names: list[str] = []
         class_index: dict[str, int] = {}
@@ -920,6 +1031,8 @@ class FastSimulation:
         """Reset run state and push the initial arrival schedule."""
         self._reset()
         n = int(ts.size)
+        if requests_of is not None:  # framework admission
+            self._challenges = [None] * n
         cpu_free = np.zeros(n_agents)
         hash_rate = self._per_class(class_names, self.hash_rates, self.default_hash_rate)
         patience = self._per_class(class_names, self.patiences, 30.0)
@@ -928,7 +1041,7 @@ class FastSimulation:
 
         # Arrival times: one channel crossing per submitted request.
         # _push_grouped stable-sorts them, so equal-instant arrivals
-        # keep trace order — the exact cohorts the callback engine's
+        # keep trace order — the exact cohorts the reference's
         # arrival batching forms.  Linked requests instead enter their
         # uplink at the submit instant ("xmit"); the crossing decides
         # when — and whether — they arrive.
@@ -1097,10 +1210,9 @@ class FastSimulation:
         base = link_base[idx] if isinstance(link_base, np.ndarray) else 0.0
 
         # Decision order matters for stateful (load-adaptive) policies:
-        # the callback engine charges the cohort's FIFO costs — which
-        # feed the policy's load signal — *before* the batch admission,
-        # so the array kernel must too, or the two engines' decision
-        # streams drift apart.
+        # the cohort's FIFO costs, which feed the policy's load signal,
+        # are charged *before* the batch admission, as the sequential
+        # model charges each request before deciding it.
         if not self.pow_enabled:
             dones = self._fifo(when, model.resource_cost, k)
             if get_scores is not None:
@@ -1110,7 +1222,7 @@ class FastSimulation:
                 ).astype(np.float64)
             else:
                 cohort_scores, difficulties = self._admit_framework(
-                    requests_of(idx), now=when
+                    idx, requests_of(idx), now=when
                 )
             if self.decisions is not None:
                 self.decisions.append(
@@ -1120,18 +1232,13 @@ class FastSimulation:
             finish = dones + self._delays(k) + base
             self.events_processed += k
             out = self._mask_until(
-                until, finish, cids, cohort_scores, difficulties, ts[idx]
+                until, finish, idx, cids, cohort_scores, difficulties,
+                ts[idx],
             )
-            finish, cids_m, scores_m, diffs_m, ts_m = out
-            self._touch(finish)
-            self._buffers.record(
-                class_names,
-                cids_m,
-                ResponseStatus.SERVED,
-                np.maximum(0.0, finish - ts_m),
-                scores_m,
-                diffs_m,
-                np.zeros(finish.size),
+            finish, idx_m, cids_m, scores_m, diffs_m, ts_m = out
+            self._record(
+                class_names, idx_m, cids_m, ResponseStatus.SERVED, finish,
+                ts_m, scores_m, diffs_m, np.zeros(finish.size),
             )
             return
 
@@ -1143,7 +1250,7 @@ class FastSimulation:
             ).astype(np.float64)
         else:
             cohort_scores, difficulties = self._admit_framework(
-                requests_of(idx), now=[float(t) for t in issue]
+                idx, requests_of(idx), now=[float(t) for t in issue]
             )
         if self.decisions is not None:
             self.decisions.append(
@@ -1159,21 +1266,16 @@ class FastSimulation:
             out = self._mask_until(
                 until,
                 receipt[refused],
+                idx[refused],
                 cids[refused],
                 cohort_scores[refused],
                 difficulties[refused],
                 ts[idx][refused],
             )
-            finish, cids_m, scores_m, diffs_m, ts_m = out
-            self._touch(finish)
-            self._buffers.record(
-                class_names,
-                cids_m,
-                ResponseStatus.ABANDONED,
-                np.maximum(0.0, finish - ts_m),
-                scores_m,
-                diffs_m,
-                np.zeros(finish.size),
+            finish, idx_m, cids_m, scores_m, diffs_m, ts_m = out
+            self._record(
+                class_names, idx_m, cids_m, ResponseStatus.ABANDONED,
+                finish, ts_m, scores_m, diffs_m, np.zeros(finish.size),
             )
 
         if not solve.any():
@@ -1194,22 +1296,17 @@ class FastSimulation:
             out = self._mask_until(
                 until,
                 give_up,
+                s_idx[abandoned],
                 s_cids[abandoned],
                 s_scores[abandoned],
                 s_diff[abandoned],
                 ts[s_idx][abandoned],
                 attempts[abandoned],
             )
-            finish, cids_m, scores_m, diffs_m, ts_m, attempts_m = out
-            self._touch(finish)
-            self._buffers.record(
-                class_names,
-                cids_m,
-                ResponseStatus.ABANDONED,
-                np.maximum(0.0, finish - ts_m),
-                scores_m,
-                diffs_m,
-                attempts_m,
+            finish, idx_m, cids_m, scores_m, diffs_m, ts_m, attempts_m = out
+            self._record(
+                class_names, idx_m, cids_m, ResponseStatus.ABANDONED,
+                finish, ts_m, scores_m, diffs_m, attempts_m,
             )
 
         solving = ~abandoned
@@ -1283,27 +1380,23 @@ class FastSimulation:
         out = self._mask_until(
             until,
             finish,
+            idx,
             cids,
             scores,
             difficulties,
             ts[idx],
             attempts,
             status_codes,
-            agent_ids[idx],
         )
-        finish, cids_m, scores_m, diffs_m, ts_m, attempts_m, codes_m, agents_m = out
-        self._touch(finish)
-        self._buffers.record(
-            class_names,
-            cids_m,
-            codes_m,
-            np.maximum(0.0, finish - ts_m),
-            scores_m,
-            diffs_m,
-            attempts_m,
+        finish, idx_m, cids_m, scores_m, diffs_m, ts_m, attempts_m, codes_m = out
+        self._record(
+            class_names, idx_m, cids_m, codes_m, finish, ts_m, scores_m,
+            diffs_m, attempts_m,
         )
         if feedback is not None:
-            feedback.observe_served(agents_m[codes_m == _SERVED], when)
+            feedback.observe_served(
+                agent_ids[idx_m[codes_m == _SERVED]], when
+            )
 
     # ------------------------------------------------------------------
     # Link crossings
@@ -1355,7 +1448,7 @@ class FastSimulation:
                 )
             # Failed = lost + tail-dropped, in original crossing order
             # (a same-instant retry cohort re-enters the queue in the
-            # order the callback engine would process it).
+            # order the reference simulator would process it).
             failed = np.zeros(pos.size, dtype=bool)
             failed[np.nonzero(lost)[0]] = True
             failed[np.nonzero(~lost)[0][accepted:]] = True
@@ -1446,12 +1539,14 @@ class FastSimulation:
             give_up = f_pos[~can]
             if give_up.size:
                 stats.solution_give_ups += int(give_up.size)
-                self._touch(when)
-                self._buffers.record(
+                g_idx = idx[give_up]
+                self._record(
                     class_names,
-                    class_ids[idx[give_up]],
+                    g_idx,
+                    class_ids[g_idx],
                     ResponseStatus.ABANDONED,
-                    np.maximum(0.0, when - ts[idx[give_up]]),
+                    np.full(give_up.size, when),
+                    ts[g_idx],
                     scores[give_up],
                     difficulties[give_up],
                     attempts[give_up],
@@ -1478,9 +1573,7 @@ class FastSimulation:
     # Closed loop
     # ------------------------------------------------------------------
     def run_sessions(self, sessions, until: float | None = None):
-        """Drive closed-loop sessions; drop-in for ``ClosedLoopSimulation.run``."""
-        from repro.net.sim.closedloop import ClosedLoopReport
-
+        """Drive closed-loop sessions to completion (or ``until``)."""
         sessions = list(sessions)
         if not sessions:
             raise ValueError("need at least one session")
@@ -1491,10 +1584,9 @@ class FastSimulation:
             raise ValueError(
                 "closed-loop runs support delay-only link profiles; "
                 "lossy or bandwidth-capped links need the open-loop "
-                "engines (run/run_fires)"
+                "runs (run/run_fires)"
             )
-        # The callback closed-loop server model has no load signal, so
-        # the fast engine must not feed one either.
+        # The closed-loop server model has no load signal.
         self._reset(observe_load=False)
         m = len(sessions)
         class_names: list[str] = []
@@ -1553,6 +1645,8 @@ class FastSimulation:
         else:
             from repro.core.records import ClientRequest
 
+            self._challenges = [None] * m
+
             def requests(idx: np.ndarray, begin_ts: np.ndarray):
                 return [
                     ClientRequest(
@@ -1600,6 +1694,7 @@ class FastSimulation:
                         ).astype(np.float64)
                     else:
                         cohort_scores, difficulties = self._admit_framework(
+                            idx,
                             requests(idx, begin_ts),
                             now=[float(t) for t in issue],
                         )
@@ -1706,16 +1801,10 @@ class FastSimulation:
             until, finish, idx, begin_ts, rem, scores, difficulties, attempts
         )
         finish, idx, begin_ts, rem, scores, difficulties, attempts = out
-        self._touch(finish)
         self.events_processed += int(finish.size)
-        self._buffers.record(
-            class_names,
-            cids[idx],
-            status,
-            np.maximum(0.0, finish - begin_ts),
-            scores,
-            difficulties,
-            attempts,
+        self._record(
+            class_names, idx, cids[idx], status, finish, begin_ts, scores,
+            difficulties, attempts,
         )
         again = rem - 1 > 0
         if again.any():

@@ -1,32 +1,18 @@
-"""Residual per-cohort kernels with an optional compiled backend.
+"""Residual per-cohort array kernels of the simulator.
 
 After vectorization (DESIGN §1.5) the fastsim hot loop spends its time
 in a handful of small array kernels that run once per cohort: the FIFO
 running sum, the patience/TTL comparison masks, and geometric solve
-sampling.  This module gives each kernel two interchangeable
-implementations:
-
-* a **pure-numpy** version — always present, the tested default, and
-  the reference the parity suites pin down bit-for-bit;
-* an optional **numba-jitted** version, compiled only when ``numba``
-  imports.  The jitted variants are parity-asserted against the numpy
-  versions on deterministic samples at import time; any mismatch (or
-  any compile failure) silently keeps the numpy backend.  The
-  environment this repo targets ships no compiler toolchain, so numpy
-  is the default everywhere numbers are reported.
+sampling.  Each is a plain numpy function.
 
 Bit-exactness is part of the kernel contract, not a nicety: FIFO
 completion times feed the load-adaptive policy and the TTL comparison
 (where one ULP flips a decision), and the geometric sampler's outputs
-enter the decision stream parity checks.  The numba FIFO variant is the
-same left-associated running sum as ``np.cumsum``; the geometric
-variant evaluates the identical ``ceil(log u / log1p(-2**-d))``
-expression.  Callers own RNG consumption — :func:`geometric_attempts`
-takes pre-drawn uniforms, so backend choice can never shift a random
-stream.
+enter the decision stream parity checks.  Callers own RNG consumption:
+:func:`geometric_attempts` takes pre-drawn uniforms.
 
-``python -m repro kernels`` microbenches every kernel on every
-available backend (:mod:`repro.bench.kernels`).
+``python -m repro kernels`` microbenches every kernel
+(:mod:`repro.bench.kernels`).
 """
 
 from __future__ import annotations
@@ -34,9 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "active_backend",
-    "backends",
+    "KERNELS",
     "fifo_running_sum",
     "geometric_attempts",
     "patience_mask",
@@ -44,18 +28,15 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Pure-numpy reference implementations (always available)
-# ----------------------------------------------------------------------
-def _fifo_running_sum_numpy(
+def fifo_running_sum(
     start: float, costs: np.ndarray | float, count: int
 ) -> np.ndarray:
     """Left-associated running sum of ``costs`` seeded with ``start``.
 
     ``out[i] = start + costs[0] + ... + costs[i]`` with the additions
-    performed strictly left to right — the vector form of the callback
-    engine's scalar FIFO recurrence (see ``FastSimulation._fifo``).
-    ``costs`` may be a scalar (uniform per-item cost) or a vector.
+    performed strictly left to right — the vector form of the scalar
+    FIFO recurrence (see ``FastSimulation._fifo``).  ``costs`` may be a
+    scalar (uniform per-item cost) or a vector.
     """
     seeded = np.empty(count + 1)
     seeded[0] = start
@@ -63,185 +44,36 @@ def _fifo_running_sum_numpy(
     return np.cumsum(seeded)[1:]
 
 
-def _geometric_attempts_numpy(
+def geometric_attempts(
     difficulties: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
     """Inverse-CDF geometric attempt counts from pre-drawn uniforms.
 
     ``ceil(ln U / ln(1 - 2**-d))`` for strictly positive difficulties;
     the ``U == 0`` edge is nudged to the smallest positive float (the
-    array equivalent of redrawing).  Callers draw ``uniforms``
-    themselves so RNG consumption is identical across backends.
+    array equivalent of redrawing).
     """
     p = np.exp2(-np.asarray(difficulties, dtype=np.float64))
     u = np.maximum(uniforms, np.nextafter(0.0, 1.0))
     return np.maximum(1.0, np.ceil(np.log(u) / np.log1p(-p)))
 
 
-def _patience_mask_numpy(
+def patience_mask(
     solve_end: np.ndarray, receipt: np.ndarray, patience: np.ndarray
 ) -> np.ndarray:
     """True where grinding past ``receipt + patience`` → client abandons."""
     return (solve_end - receipt) > patience
 
 
-def _ttl_mask_numpy(
-    now: float, issued_at: np.ndarray, ttl: float
-) -> np.ndarray:
+def ttl_mask(now: float, issued_at: np.ndarray, ttl: float) -> np.ndarray:
     """True where a solution arrives after its puzzle's TTL window."""
     return (now - issued_at) > ttl
 
 
-_NUMPY = {
-    "fifo_running_sum": _fifo_running_sum_numpy,
-    "geometric_attempts": _geometric_attempts_numpy,
-    "patience_mask": _patience_mask_numpy,
-    "ttl_mask": _ttl_mask_numpy,
+#: Kernel name → function, for the microbench.
+KERNELS = {
+    "fifo_running_sum": fifo_running_sum,
+    "geometric_attempts": geometric_attempts,
+    "patience_mask": patience_mask,
+    "ttl_mask": ttl_mask,
 }
-_NUMBA: dict[str, object] = {}
-
-#: True when the numba package imports (regardless of whether the
-#: jitted variants passed parity and became the active backend).
-NUMBA_AVAILABLE = False
-_BACKEND = "numpy"
-
-# Active dispatch targets — rebound once, at import time, if the numba
-# variants compile and pass parity.
-fifo_running_sum = _fifo_running_sum_numpy
-geometric_attempts = _geometric_attempts_numpy
-patience_mask = _patience_mask_numpy
-ttl_mask = _ttl_mask_numpy
-
-
-def active_backend() -> str:
-    """``"numpy"`` or ``"numba"`` — whichever the module dispatches to."""
-    return _BACKEND
-
-
-def backends() -> dict[str, dict[str, object]]:
-    """Kernel name → {backend name → callable}, for the microbench.
-
-    Every kernel always has a ``"numpy"`` entry; ``"numba"`` entries
-    appear only when the jitted variants compiled and passed parity.
-    """
-    out: dict[str, dict[str, object]] = {
-        name: {"numpy": fn} for name, fn in _NUMPY.items()
-    }
-    for name, fn in _NUMBA.items():
-        out[name]["numba"] = fn
-    return out
-
-
-# ----------------------------------------------------------------------
-# Optional numba backend (auto-selected, parity-asserted)
-# ----------------------------------------------------------------------
-def _parity_ok() -> bool:
-    """Bit-compare every numba variant against numpy on fixed samples."""
-    rng = np.random.default_rng(0xC0FFEE)
-    start = 3.7
-    costs = rng.random(257)
-    d = rng.integers(1, 24, 257).astype(np.float64)
-    u = rng.random(257)
-    receipt = rng.random(257) * 10.0
-    solve_end = receipt + rng.random(257) * 5.0
-    patience = np.full(257, 2.5)
-    issued = rng.random(257) * 10.0
-    checks = (
-        ("fifo_running_sum", (start, costs, 257)),
-        ("fifo_running_sum", (start, 0.0002, 257)),
-        ("geometric_attempts", (d, u)),
-        ("patience_mask", (solve_end, receipt, patience)),
-        ("ttl_mask", (7.0, issued, 5.0)),
-    )
-    for name, args in checks:
-        if not np.array_equal(_NUMPY[name](*args), _NUMBA[name](*args)):
-            return False
-    return True
-
-
-def _try_enable_numba() -> None:
-    global NUMBA_AVAILABLE, _BACKEND, _NUMBA
-    global fifo_running_sum, geometric_attempts, patience_mask, ttl_mask
-    try:
-        import numba
-    except ImportError:
-        return
-    NUMBA_AVAILABLE = True
-    try:
-        njit = numba.njit(cache=True)
-
-        @njit
-        def _fifo_jit(start, costs, out):  # pragma: no cover - needs numba
-            acc = start
-            for i in range(costs.size):
-                acc = acc + costs[i]
-                out[i] = acc
-
-        @njit
-        def _geom_jit(d, u, out):  # pragma: no cover - needs numba
-            tiny = np.nextafter(0.0, 1.0)
-            for i in range(d.size):
-                p = np.exp2(-d[i])
-                ui = u[i] if u[i] > tiny else tiny
-                a = np.ceil(np.log(ui) / np.log1p(-p))
-                out[i] = a if a > 1.0 else 1.0
-
-        @njit
-        def _cmp_jit(lhs, rhs, out):  # pragma: no cover - needs numba
-            for i in range(lhs.size):
-                out[i] = lhs[i] > rhs[i]
-
-        def _fifo_numba(start, costs, count):
-            arr = np.ascontiguousarray(
-                np.broadcast_to(
-                    np.asarray(costs, dtype=np.float64), (count,)
-                )
-            )
-            out = np.empty(count)
-            _fifo_jit(float(start), arr, out)
-            return out
-
-        def _geom_numba(difficulties, uniforms):
-            d = np.ascontiguousarray(difficulties, dtype=np.float64)
-            out = np.empty(d.size)
-            _geom_jit(d, np.ascontiguousarray(uniforms), out)
-            return out
-
-        def _patience_numba(solve_end, receipt, patience):
-            out = np.empty(solve_end.size, dtype=np.bool_)
-            _cmp_jit(
-                np.ascontiguousarray(solve_end - receipt),
-                np.ascontiguousarray(patience, dtype=np.float64),
-                out,
-            )
-            return out
-
-        def _ttl_numba(now, issued_at, ttl):
-            k = issued_at.size
-            out = np.empty(k, dtype=np.bool_)
-            _cmp_jit(
-                np.full(k, float(now)) - np.ascontiguousarray(issued_at),
-                np.full(k, float(ttl)),
-                out,
-            )
-            return out
-
-        _NUMBA = {
-            "fifo_running_sum": _fifo_numba,
-            "geometric_attempts": _geom_numba,
-            "patience_mask": _patience_numba,
-            "ttl_mask": _ttl_numba,
-        }
-        if not _parity_ok():  # pragma: no cover - needs numba
-            _NUMBA = {}
-            return
-        fifo_running_sum = _fifo_numba  # pragma: no cover - needs numba
-        geometric_attempts = _geom_numba
-        patience_mask = _patience_numba
-        ttl_mask = _ttl_numba
-        _BACKEND = "numba"
-    except Exception:  # pragma: no cover - compile failure → fallback
-        _NUMBA = {}
-
-
-_try_enable_numba()

@@ -17,9 +17,10 @@ Design points:
   numpy cohort in O(1) numpy ops (``searchsorted`` + ``bincount``), so
   the vectorized simulator can record a million samples without a
   million Python calls.  Scalar ``observe`` and ``observe_array`` are
-  aggregate-equivalent by construction (same bucketing, same float
-  summation order is *not* guaranteed — exact-mode series retain the
-  raw samples so summary statistics match bit-for-bit).
+  aggregate-equivalent by construction (same bucketing; the float
+  summation order of ``sum`` is *not* guaranteed to match).  A series
+  holds O(buckets) state however long it runs: no raw samples are
+  kept.
 * **Snapshots cross process boundaries.**  :meth:`MetricsRegistry.
   snapshot` is JSON-safe; :func:`merge_snapshots` folds any number of
   per-worker snapshots into cluster totals (counters and histogram
@@ -37,8 +38,6 @@ import time
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-
-from repro.metrics.histogram import SampleSet
 
 __all__ = [
     "METRIC_CATALOG",
@@ -243,27 +242,19 @@ class Gauge(_Metric):
 class HistogramSeries:
     """One labelled histogram stream: buckets plus summary statistics.
 
-    In *exact* mode the raw samples are retained in a
-    :class:`~repro.metrics.histogram.SampleSet`, so ``mean``/``max``/
-    quantiles are bit-identical to the sample-set code this registry
-    replaced — the contract the GatewayMetrics migration is regression-
-    tested against.  Without it, memory stays O(buckets) for unbounded
-    streams and the mean is ``sum/count``.
+    Memory stays O(buckets) for unbounded streams; the mean is
+    ``sum/count``.
     """
 
-    __slots__ = (
-        "_bounds", "counts", "sum", "count", "_min", "_max", "samples",
-        "_lock",
-    )
+    __slots__ = ("_bounds", "counts", "sum", "count", "_min", "_max", "_lock")
 
-    def __init__(self, bounds: np.ndarray, exact: bool) -> None:
+    def __init__(self, bounds: np.ndarray) -> None:
         self._bounds = bounds
         self.counts = np.zeros(bounds.size + 1, dtype=np.int64)
         self.sum = 0.0
         self.count = 0
         self._min: float | None = None
         self._max: float | None = None
-        self.samples = SampleSet() if exact else None
         self._lock = threading.Lock()
 
     def observe(self, value: int | float) -> None:
@@ -277,8 +268,6 @@ class HistogramSeries:
                 self._min = value
             if self._max is None or value > self._max:
                 self._max = value
-            if self.samples is not None:
-                self.samples.add(value)
 
     # SampleSet-compatible spelling, so migrated call sites keep working.
     add = observe
@@ -301,8 +290,6 @@ class HistogramSeries:
                 self._min = low
             if self._max is None or high > self._max:
                 self._max = high
-            if self.samples is not None:
-                self.samples.extend_array(values)
 
     def __len__(self) -> int:
         return self.count
@@ -310,8 +297,6 @@ class HistogramSeries:
     def mean(self) -> float:
         if not self.count:
             raise ValueError("mean of an empty histogram series")
-        if self.samples is not None:
-            return self.samples.mean()
         return self.sum / self.count
 
     def min(self) -> float:
@@ -323,11 +308,6 @@ class HistogramSeries:
         if self._max is None:
             raise ValueError("max of an empty histogram series")
         return self._max
-
-    def quantile(self, q: float) -> float:
-        if self.samples is None:
-            raise ValueError("quantiles need an exact-mode histogram")
-        return self.samples.quantile(q)
 
 
 class Histogram(_Metric):
@@ -341,7 +321,6 @@ class Histogram(_Metric):
         help: str,
         label_names: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        exact: bool = False,
     ) -> None:
         super().__init__(name, help, label_names)
         bounds = np.asarray(sorted(float(b) for b in buckets))
@@ -350,7 +329,6 @@ class Histogram(_Metric):
         if np.unique(bounds).size != bounds.size:
             raise ValueError(f"duplicate bucket bounds in {buckets}")
         self.bounds = bounds
-        self.exact = exact
 
     def labels(self, **labels: object) -> HistogramSeries:
         """The (created-on-first-use) series for one label combination."""
@@ -358,7 +336,7 @@ class Histogram(_Metric):
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                series = HistogramSeries(self.bounds, self.exact)
+                series = HistogramSeries(self.bounds)
                 self._series[key] = series
             return series  # type: ignore[return-value]
 
@@ -438,10 +416,9 @@ class MetricsRegistry:
         help: str = "",
         labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        exact: bool = False,
     ) -> Histogram:
         return self._get_or_create(  # type: ignore[return-value]
-            lambda: Histogram(name, help, labels, buckets=buckets, exact=exact)
+            lambda: Histogram(name, help, labels, buckets=buckets)
         )
 
     def get(self, name: str) -> _Metric | None:

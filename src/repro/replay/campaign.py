@@ -33,8 +33,9 @@ from repro.core.errors import ComponentNotFoundError
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ClientRequest
 from repro.core.spec import FrameworkSpec
+from repro.net.sim.fastsim import FastFeedback, FastSimulation
 from repro.net.sim.links import LINK_PROFILES
-from repro.net.sim.simulation import Simulation
+from repro.net.sim.simulation import ServerModel
 from repro.pow.solver import HashSolver
 from repro.replay.recorder import TraceRecorder, spec_hash
 from repro.traffic.generator import WorkloadGenerator
@@ -93,13 +94,14 @@ _PROBE_IP = "110.99.99.99"
 
 @dataclasses.dataclass(frozen=True)
 class ScaleSpec:
-    """Large-scale parameters routing a campaign onto the fast engine.
+    """Large-scale parameters routing a campaign onto the SoA path.
 
-    A campaign carrying a ``ScaleSpec`` runs through the vectorized
+    A campaign carrying a ``ScaleSpec`` runs
     :class:`~repro.net.sim.fastsim.FastSimulation` over a
-    struct-of-arrays population instead of the object-world simulator:
-    no per-client objects, no recorded trace (a million-decision trace
-    is an artefact nobody replays), cohorts quantized to ``tick``.
+    struct-of-arrays population with array admission instead of a
+    request trace: no per-client objects, no recorded trace (a
+    million-decision trace is an artefact nobody replays), cohorts
+    quantized to ``tick``.
 
     Parameters
     ----------
@@ -563,10 +565,10 @@ def run_campaign(
     Returns the run (including the recorded v2 trace); when
     ``record_path`` is given the trace is also written there.  An
     optional :class:`~repro.obs.tracing.RequestTracer` rides on the
-    framework's event bus and samples per-request spans (callback
-    campaigns only: the vectorized engine emits no per-request
-    events).  ``snapshot_path`` turns on the periodic registry
-    snapshot writer (scale campaigns only: that is where the
+    framework's event bus and samples per-request spans (non-scale
+    campaigns only: scale campaigns run array admission, which emits
+    no per-request events).  ``snapshot_path`` turns on the periodic
+    registry snapshot writer (scale campaigns only: that is where the
     phase-timing and link registries live).
     """
     if isinstance(campaign, str):
@@ -586,9 +588,9 @@ def run_campaign(
             )
         if tracer is not None:
             raise ValueError(
-                f"campaign {campaign.name!r} is large-scale: the "
-                "vectorized engine emits no per-request events for a "
-                "tracer to sample"
+                f"campaign {campaign.name!r} is large-scale: its array "
+                "admission emits no per-request events for a tracer "
+                "to sample"
             )
         return _run_mega_campaign(campaign, snapshot_path=snapshot_path)
     if snapshot_path is not None:
@@ -623,7 +625,7 @@ def run_campaign(
     patiences = {
         profile.name: profile.patience for profile, _ in populations
     }
-    simulation = Simulation(
+    simulation = FastSimulation(
         framework,
         seed=campaign.seed ^ 0x5CE4,
         solve_deciders=solve_deciders,
@@ -767,8 +769,6 @@ def _run_mega_campaign(
     import numpy as np
 
     from repro.net.sim.agents import AgentPopulation
-    from repro.net.sim.fastsim import FastFeedback, FastSimulation
-    from repro.net.sim.simulation import ServerModel
 
     scale = campaign.scale
     population = AgentPopulation.make(

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.bench.onset import OnsetConfig, run_onset
+from repro.bench.onset import OnsetConfig, _run_one, run_onset
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +68,23 @@ def test_config_validation():
         OnsetConfig(attack_start=50.0, duration=20.0)
     with pytest.raises(ValueError):
         OnsetConfig(window=0.0)
+
+
+def test_timeline_totals_match_report():
+    """The bus-fed timeline sees every outcome the report counts."""
+    config = OnsetConfig(
+        duration=12.0,
+        attack_start=4.0,
+        benign_clients=4,
+        attacker_bots=4,
+        window=3.0,
+        corpus_size=600,
+    )
+    timeline, report = _run_one(config, adaptive=True)
+    assert set(timeline.classes()) == set(report.metrics.class_names())
+    for cls in timeline.classes():
+        metrics = report.metrics.for_class(cls)
+        requests = sum(rate for _, rate in timeline.request_rate(cls))
+        served = sum(rate for _, rate in timeline.served_rate(cls))
+        assert round(requests * config.window) == metrics.total
+        assert round(served * config.window) == metrics.served

@@ -1,12 +1,14 @@
 """GatewayMetrics must stay bit-identical to the pre-registry version.
 
 The registry migration replaced the two private ``SampleSet`` fields
-with exact-mode histogram series, keeping ``summary()`` (and therefore
-the cluster aggregation and every golden trace) unchanged.  This test
+with histogram series, keeping ``summary()`` (and therefore the
+cluster aggregation and every golden trace) unchanged.  This test
 vendors the replaced implementation verbatim and drives both through
 randomized flush/shed workloads, asserting equality — not approximate,
-bit-identical, since both ultimately call ``np.mean`` over the same
-retained samples.
+bit-identical: batch sizes are integers, so the series' running
+``sum/count`` mean is exact and equals ``np.mean`` over the retained
+samples.  The series themselves retain no samples; the bounded-memory
+test pins that down.
 """
 
 from __future__ import annotations
@@ -143,3 +145,31 @@ class TestRegistryExposure:
         first.observe_flush(8, 8)
         assert second.admitted_count == 0
         assert second.summary()["flushes"] == 0
+
+
+class TestBoundedMemory:
+    def test_retained_memory_stays_o_buckets(self):
+        """A flood of flushes and sheds must not grow the series.
+
+        Each series keeps bucket counts plus sum/count/min/max; a
+        retained-sample implementation keeps one Python float per
+        observation (600k allocated blocks, about 19 MB, over this
+        loop).  ``sys.getallocatedblocks`` counts live interpreter
+        allocations without tracing every one.
+        """
+        import gc
+        import sys
+
+        metrics = GatewayMetrics()
+        # Create every series (and the shed label) before measuring.
+        metrics.observe_flush(1, 1)
+        metrics.observe_shed("queue full", queue_depth=1)
+        gc.collect()
+        before = sys.getallocatedblocks()
+        for i in range(200_000):
+            metrics.observe_flush(1 + i % 512, i % 4096)
+            metrics.observe_shed("queue full", queue_depth=i % 4096)
+        gc.collect()
+        retained = sys.getallocatedblocks() - before
+        assert metrics.summary()["flushes"] == 200_001
+        assert retained < 1_000, f"{retained:,} blocks retained"

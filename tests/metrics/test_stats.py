@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics.histogram import LatencyHistogram, SampleSet
+from repro.metrics.histogram import SampleSet
 from repro.metrics.stats import StreamingStats
 
 finite_floats = st.floats(
@@ -125,54 +125,3 @@ class TestSampleSet:
         assert samples.max() == 3.0
         assert samples.stdev() == pytest.approx(1.0)
         assert len(samples) == 3
-
-
-class TestLatencyHistogram:
-    def test_counts_accumulate(self):
-        hist = LatencyHistogram(low=1e-3, high=10.0, bins=10)
-        for value in (0.002, 0.02, 0.2, 2.0):
-            hist.add(value)
-        assert hist.total == 4
-
-    def test_underflow_and_overflow_binned(self):
-        hist = LatencyHistogram(low=1e-3, high=1.0, bins=4)
-        hist.add(0.0)      # below low -> first bin
-        hist.add(50.0)     # above high -> overflow bin
-        assert hist.total == 2
-        assert hist.counts[0] == 1
-        assert hist.counts[-1] == 1
-
-    def test_quantile_approximates(self):
-        hist = LatencyHistogram(low=1e-3, high=10.0, bins=60)
-        values = [0.01] * 50 + [1.0] * 50
-        for value in values:
-            hist.add(value)
-        assert hist.quantile(0.25) == pytest.approx(0.01, rel=0.2)
-        assert hist.quantile(0.95) == pytest.approx(1.0, rel=0.2)
-
-    def test_empty_quantile_raises(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram().quantile(0.5)
-
-    def test_negative_rejected(self):
-        hist = LatencyHistogram()
-        with pytest.raises(ValueError):
-            hist.add(-1.0)
-
-    def test_render_mentions_counts(self):
-        hist = LatencyHistogram(low=1e-3, high=1.0, bins=4)
-        hist.add(0.01)
-        text = hist.render()
-        assert "#" in text
-        assert "1" in text
-
-    def test_render_empty(self):
-        assert "empty" in LatencyHistogram().render()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(low=0.0)
-        with pytest.raises(ValueError):
-            LatencyHistogram(low=2.0, high=1.0)
-        with pytest.raises(ValueError):
-            LatencyHistogram(bins=0)

@@ -9,8 +9,8 @@ timestamps, every request terminating.
 from __future__ import annotations
 
 from repro.core.framework import AIPoWFramework
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
-from repro.net.sim.simulation import Simulation
+from repro.net.sim.closedloop import SessionSpec
+from repro.net.sim.fastsim import FastSimulation
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
@@ -42,7 +42,7 @@ def framework() -> AIPoWFramework:
 
 class TestOpenLoopBatching:
     def test_simultaneous_arrivals_form_batches(self):
-        simulation = Simulation(framework(), seed=3)
+        simulation = FastSimulation(framework(), seed=3)
         report = simulation.run(burst_trace())
         assert report.metrics.overall.total == report.requests
         assert simulation.largest_arrival_batch > 1
@@ -52,13 +52,13 @@ class TestOpenLoopBatching:
         trace, _ = WorkloadGenerator(seed=5).mixed_trace(
             [(BENIGN_PROFILE, 6)], duration=5.0
         )
-        simulation = Simulation(framework(), seed=3)
+        simulation = FastSimulation(framework(), seed=3)
         report = simulation.run(trace)
         assert report.metrics.overall.total == len(trace)
 
     def test_batching_is_deterministic(self):
         def run():
-            simulation = Simulation(framework(), seed=9)
+            simulation = FastSimulation(framework(), seed=9)
             report = simulation.run(burst_trace())
             return (
                 report.metrics.overall.served,
@@ -69,7 +69,7 @@ class TestOpenLoopBatching:
         assert run() == run()
 
     def test_pow_disabled_batches_too(self):
-        simulation = Simulation(framework(), seed=3, pow_enabled=False)
+        simulation = FastSimulation(framework(), seed=3, pow_enabled=False)
         report = simulation.run(burst_trace())
         assert report.metrics.overall.goodput_fraction == 1.0
         assert simulation.largest_arrival_batch > 1
@@ -86,15 +86,15 @@ class TestClosedLoopBatching:
         ]
 
     def test_simultaneous_sessions_form_batches(self):
-        simulation = ClosedLoopSimulation(framework(), seed=4)
-        report = simulation.run(self.sessions())
+        simulation = FastSimulation(framework(), seed=4)
+        report = simulation.run_sessions(self.sessions())
         assert report.completed_exchanges == 8 * 3
         assert simulation.largest_admission_batch > 1
 
     def test_closed_loop_deterministic(self):
         def run():
-            simulation = ClosedLoopSimulation(framework(), seed=4)
-            report = simulation.run(self.sessions())
+            simulation = FastSimulation(framework(), seed=4)
+            report = simulation.run_sessions(self.sessions())
             return (
                 report.completed_exchanges,
                 report.metrics.overall.served,

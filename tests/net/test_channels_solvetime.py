@@ -111,9 +111,9 @@ class TestChannelContract:
         """
         import numpy as np
 
+        from reference_sim import Simulation
         from repro.core.framework import AIPoWFramework
         from repro.net.sim.fastsim import FastSimulation
-        from repro.net.sim.simulation import Simulation
         from repro.policies.table import FixedPolicy
         from repro.reputation.ensemble import ConstantModel
         from repro.traffic.generator import WorkloadGenerator
@@ -130,12 +130,11 @@ class TestChannelContract:
             [(BENIGN_PROFILE, 20)], duration=3.0
         )
         assert workload, "clamp test needs a non-empty workload"
-        for engine in ("callback", "fast"):
-            report = Simulation(
+        for engine in (Simulation, FastSimulation):
+            report = engine(
                 AIPoWFramework(ConstantModel(0.0), FixedPolicy(1)),
                 channel=NegativeDelayChannel(),
                 seed=6,
-                engine=engine,
             ).run(workload)
             served = report.metrics.overall
             assert served.total == len(workload)

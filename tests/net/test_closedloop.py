@@ -1,4 +1,4 @@
-"""Tests for closed-loop session simulation."""
+"""Tests for closed-loop session simulation (``FastSimulation.run_sessions``)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import random
 import pytest
 
 from repro.core.framework import AIPoWFramework
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
+from repro.net.sim.closedloop import SessionSpec
+from repro.net.sim.fastsim import FastSimulation
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import make_population
@@ -30,14 +31,16 @@ def fixed_framework(difficulty=4):
 class TestSessions:
     def test_all_exchanges_complete(self):
         sessions = make_sessions(count=3, exchanges=4)
-        report = ClosedLoopSimulation(fixed_framework(), seed=1).run(sessions)
+        report = FastSimulation(fixed_framework(), seed=1).run_sessions(
+            sessions
+        )
         assert report.completed_exchanges == 12
         assert report.metrics.overall.total == 12
         assert report.sessions == 3
 
     def test_deterministic(self):
         def run():
-            report = ClosedLoopSimulation(fixed_framework(), seed=2).run(
+            report = FastSimulation(fixed_framework(), seed=2).run_sessions(
                 make_sessions()
             )
             return (
@@ -50,12 +53,14 @@ class TestSessions:
 
     def test_zero_think_time(self):
         sessions = make_sessions(count=1, exchanges=3, think=0.0)
-        report = ClosedLoopSimulation(fixed_framework(), seed=3).run(sessions)
+        report = FastSimulation(fixed_framework(), seed=3).run_sessions(
+            sessions
+        )
         assert report.completed_exchanges == 3
 
     def test_empty_sessions_rejected(self):
         with pytest.raises(ValueError):
-            ClosedLoopSimulation(fixed_framework()).run([])
+            FastSimulation(fixed_framework()).run_sessions([])
 
     def test_spec_validation(self):
         rng = random.Random(1)
@@ -71,9 +76,9 @@ class TestSessions:
 class TestClosedLoopDynamics:
     def test_harder_puzzles_stretch_session_duration(self):
         def duration(difficulty: int) -> float:
-            report = ClosedLoopSimulation(
+            report = FastSimulation(
                 fixed_framework(difficulty), seed=4
-            ).run(make_sessions(count=2, exchanges=5, think=0.1))
+            ).run_sessions(make_sessions(count=2, exchanges=5, think=0.1))
             return report.duration
 
         assert duration(14) > duration(2)
@@ -86,9 +91,9 @@ class TestClosedLoopDynamics:
         """
 
         def throughput(difficulty: int) -> float:
-            report = ClosedLoopSimulation(
+            report = FastSimulation(
                 fixed_framework(difficulty), seed=5
-            ).run(make_sessions(count=4, exchanges=8, think=0.2))
+            ).run_sessions(make_sessions(count=4, exchanges=8, think=0.2))
             return report.throughput
 
         assert throughput(15) < throughput(1) / 2
@@ -100,11 +105,11 @@ class TestClosedLoopDynamics:
             SessionSpec(client=c, exchanges=3, think_time=0.1)
             for c in clients
         ]
-        simulation = ClosedLoopSimulation(
+        simulation = FastSimulation(
             fixed_framework(22), seed=6,
             hash_rates={"malicious": 1_000.0},
         )
-        report = simulation.run(sessions)
+        report = simulation.run_sessions(sessions)
         from repro.core.records import ResponseStatus
 
         outcomes = report.metrics.overall.outcomes
@@ -115,9 +120,9 @@ class TestClosedLoopDynamics:
         rng = random.Random(7)
         clients = make_population(MALICIOUS_PROFILE, 1, rng)
         sessions = [SessionSpec(client=clients[0], exchanges=4)]
-        simulation = ClosedLoopSimulation(
+        simulation = FastSimulation(
             fixed_framework(26), seed=7,
             hash_rates={"malicious": 100.0},
         )
-        report = simulation.run(sessions)
+        report = simulation.run_sessions(sessions)
         assert report.completed_exchanges == 4

@@ -1,4 +1,4 @@
-"""Unit and property tests for the discrete-event engine."""
+"""Unit and property tests for the reference simulator's event engine."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_sim import EventEngine
 from repro.core.errors import SimulationError
-from repro.net.sim.engine import EventEngine
 
 
 class TestScheduling:

@@ -3,8 +3,9 @@
 The decision-stream bit-parity claim is gated by
 ``tests/replay/test_fastsim_parity.py``; these tests cover the rest of
 the model: outcome semantics (abandonment, TTL expiry, PoW-off), the
-SoA population/pattern layers, per-address CPU serialisation, and the
-``engine="fast"`` rebasing of both simulators.
+SoA population/pattern layers, per-address CPU serialisation, totals
+against the callback reference simulator for both loop types, and the
+per-response events framework admission emits.
 """
 
 from __future__ import annotations
@@ -12,17 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_sim import ClosedLoopSimulation, Simulation
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
 from repro.net.sim.agents import AgentPopulation
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
+from repro.net.sim.closedloop import SessionSpec
 from repro.net.sim.fastsim import (
     FastFeedback,
     FastSimulation,
     sample_attempts_array,
 )
 from repro.net.sim import patterns
-from repro.net.sim.simulation import Simulation
 from repro.policies.linear import policy_2
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
@@ -42,31 +43,22 @@ def fixed_framework(difficulty=4):
     return AIPoWFramework(ConstantModel(0.0), FixedPolicy(difficulty))
 
 
+def run_sessions(engine, framework, sessions, **kwargs):
+    """One closed-loop run on the callback reference or FastSimulation."""
+    if engine == "callback":
+        return ClosedLoopSimulation(framework, **kwargs).run(sessions)
+    return FastSimulation(framework, **kwargs).run_sessions(sessions)
+
+
 class TestEngineRebase:
-    """Simulation/ClosedLoopSimulation drive the fast core unchanged."""
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Simulation(fixed_framework(), engine="warp")
-        with pytest.raises(ValueError):
-            ClosedLoopSimulation(fixed_framework(), engine="warp")
-
-    def test_timeline_requires_callback_engine(self):
-        from repro.metrics.timeseries import TimelineCollector
-
-        with pytest.raises(ValueError):
-            Simulation(
-                fixed_framework(),
-                timeline=TimelineCollector(),
-                engine="fast",
-            )
+    """FastSimulation reproduces the callback reference's totals."""
 
     def test_fast_run_matches_callback_totals(self):
         trace, _ = make_trace()
-        reports = {}
-        for engine in ("callback", "fast"):
-            sim = Simulation(fixed_framework(), seed=1, engine=engine)
-            reports[engine] = sim.run(trace)
+        reports = {
+            "callback": Simulation(fixed_framework(), seed=1).run(trace),
+            "fast": FastSimulation(fixed_framework(), seed=1).run(trace),
+        }
         cb, fast = reports["callback"], reports["fast"]
         assert fast.requests == cb.requests
         assert fast.metrics.overall.total == cb.metrics.overall.total
@@ -85,9 +77,7 @@ class TestEngineRebase:
     def test_fast_engine_deterministic_per_seed(self):
         def run():
             trace, _ = make_trace()
-            report = Simulation(
-                fixed_framework(8), seed=9, engine="fast"
-            ).run(trace)
+            report = FastSimulation(fixed_framework(8), seed=9).run(trace)
             overall = report.metrics.overall
             return (
                 overall.total,
@@ -99,9 +89,7 @@ class TestEngineRebase:
 
     def test_events_processed_exceeds_requests(self):
         trace, _ = make_trace()
-        report = Simulation(fixed_framework(), seed=2, engine="fast").run(
-            trace
-        )
+        report = FastSimulation(fixed_framework(), seed=2).run(trace)
         assert report.events_processed > report.requests
 
     def test_closed_loop_fast_engine_ignores_load_signal(self):
@@ -121,9 +109,7 @@ class TestEngineRebase:
                 ConstantModel(0.0),
                 LoadAdaptivePolicy(FixedPolicy(2), max_surcharge=8),
             )
-            report = ClosedLoopSimulation(
-                framework, seed=3, engine=engine
-            ).run(sessions)
+            report = run_sessions(engine, framework, sessions, seed=3)
             assert report.metrics.overall.difficulties.max == 2, engine
 
     def test_closed_loop_custom_schema_through_cache_wrapper(self):
@@ -153,9 +139,7 @@ class TestEngineRebase:
                 CachedModel(DAbRModel(schema=reordered).fit(train), ttl=60.0),
                 policy_2(),
             )
-            report = ClosedLoopSimulation(
-                framework, seed=3, engine=engine
-            ).run(sessions)
+            report = run_sessions(engine, framework, sessions, seed=3)
             means[engine] = report.metrics.overall.scores.mean
         assert means["fast"] == pytest.approx(means["callback"])
 
@@ -168,12 +152,12 @@ class TestEngineRebase:
         ]
         reports = {}
         for engine in ("callback", "fast"):
-            sim = ClosedLoopSimulation(
+            reports[engine] = run_sessions(
+                engine,
                 AIPoWFramework(ConstantModel(2.0), policy_2()),
+                sessions,
                 seed=3,
-                engine=engine,
             )
-            reports[engine] = sim.run(sessions)
         cb, fast = reports["callback"], reports["fast"]
         assert fast.sessions == cb.sessions
         assert fast.completed_exchanges == cb.completed_exchanges
@@ -183,11 +167,10 @@ class TestEngineRebase:
 class TestOutcomeSemantics:
     def test_refusing_decider_abandons(self):
         trace, _ = make_trace()
-        report = Simulation(
+        report = FastSimulation(
             fixed_framework(6),
             seed=7,
             solve_deciders={"malicious": lambda d: False},
-            engine="fast",
         ).run(trace)
         malicious = report.metrics.for_class("malicious")
         assert (
@@ -197,11 +180,10 @@ class TestOutcomeSemantics:
 
     def test_impatient_clients_abandon(self):
         trace, _ = make_trace()
-        report = Simulation(
+        report = FastSimulation(
             fixed_framework(18),
             seed=8,
             patiences={"benign": 0.001, "malicious": 0.001},
-            engine="fast",
         ).run(trace)
         assert (
             report.metrics.overall.outcomes[ResponseStatus.ABANDONED] > 0
@@ -209,8 +191,8 @@ class TestOutcomeSemantics:
 
     def test_pow_disabled_serves_everything(self):
         trace, _ = make_trace()
-        report = Simulation(
-            fixed_framework(20), seed=4, pow_enabled=False, engine="fast"
+        report = FastSimulation(
+            fixed_framework(20), seed=4, pow_enabled=False
         ).run(trace)
         overall = report.metrics.overall
         assert overall.goodput_fraction == 1.0
@@ -224,28 +206,27 @@ class TestOutcomeSemantics:
             ConstantModel(0.0), FixedPolicy(16), config
         )
         trace, _ = make_trace()
-        report = Simulation(
+        report = FastSimulation(
             framework,
             seed=11,
             hash_rates={"benign": 2_000.0, "malicious": 2_000.0},
             patiences={"benign": 1e6, "malicious": 1e6},
-            engine="fast",
         ).run(trace)
         assert report.metrics.overall.outcomes[ResponseStatus.EXPIRED] > 0
 
     def test_latency_floor_is_network_overhead(self):
         trace, _ = make_trace()
         framework = fixed_framework(0)
-        report = Simulation(framework, seed=3, engine="fast").run(trace)
+        report = FastSimulation(framework, seed=3).run(trace)
         floor = framework.config.timing.network_overhead
         assert report.metrics.overall.latencies.min() >= floor * 0.9
 
     def test_until_truncates_run(self):
         trace, _ = make_trace(duration=10.0)
-        full = Simulation(fixed_framework(), seed=5, engine="fast").run(
+        full = FastSimulation(fixed_framework(), seed=5).run(
             trace
         )
-        half = Simulation(fixed_framework(), seed=5, engine="fast").run(
+        half = FastSimulation(fixed_framework(), seed=5).run(
             trace, until=2.0
         )
         assert half.duration == 2.0
@@ -279,11 +260,10 @@ class TestChannels:
                 )
 
         trace, _ = make_trace(duration=2.0)
-        report = Simulation(
+        report = FastSimulation(
             fixed_framework(4),
             channel=NoScalarDraws(),
             seed=6,
-            engine="fast",
         ).run(trace)
         assert report.metrics.overall.total == report.requests
 
@@ -338,8 +318,9 @@ class TestAdmissionRouting:
 
     def test_stateful_model_rejected_anywhere_in_wrapper_chain(self):
         """Feedback models update from response events the fast engine
-        never emits — frozen offsets must fail loudly, even when the
-        stateful scorer hides inside a transparent cache wrapper."""
+        settles per cohort, ahead of their completion instants — the
+        drift must fail loudly, even when the stateful scorer hides
+        inside a transparent cache wrapper."""
         from repro.reputation.caching import CachedModel
         from repro.reputation.feedback import FeedbackReputationModel
 
@@ -351,25 +332,12 @@ class TestAdmissionRouting:
         with pytest.raises(ValueError, match="response outcomes"):
             FastSimulation(framework).run(trace)
         with pytest.raises(ValueError, match="response outcomes"):
-            Simulation(
+            FastSimulation(
                 AIPoWFramework(
                     FeedbackReputationModel(ConstantModel(2.0)),
                     FixedPolicy(4),
                 ),
-                engine="fast",
             ).run(trace)
-
-    def test_fast_engine_rejects_presubmitted_work(self):
-        """submit()/add_session() would be silently dropped — reject."""
-        trace, _ = make_trace(duration=1.0)
-        simulation = Simulation(fixed_framework(), engine="fast")
-        with pytest.raises(ValueError, match="run\\(\\)"):
-            simulation.submit(trace[0])
-        generator = WorkloadGenerator(seed=7)
-        client = generator.population(BENIGN_PROFILE, 1)[0]
-        closed = ClosedLoopSimulation(fixed_framework(), engine="fast")
-        with pytest.raises(ValueError, match="run\\(\\)"):
-            closed.add_session(SessionSpec(client=client))
 
     def test_run_fires_recorder_registers_sources(self):
         """Fire-schedule recordings carry real profiles/ground truth."""
@@ -668,3 +636,121 @@ class TestBulkMetrics:
         stats.add_array(np.array([2.0, 3.0]))
         assert stats.count == 3
         assert stats.mean == pytest.approx(2.0)
+
+
+class TestResponseEvents:
+    """Framework admission puts every terminal outcome onto the bus."""
+
+    @staticmethod
+    def _listen(framework) -> list:
+        from repro.core.events import EventKind
+
+        events: list = []
+        framework.events.subscribe(
+            events.append, kinds=[EventKind.RESPONSE_SERVED]
+        )
+        return events
+
+    @staticmethod
+    def _check(events, report, classify) -> None:
+        """One event per admitted request, stamped at its completion."""
+        from collections import Counter
+
+        responses = [event.payload["response"] for event in events]
+        assert len(events) == report.metrics.overall.total
+        assert len({id(r.decision.request) for r in responses}) == len(
+            responses
+        )
+        for event, response in zip(events, responses):
+            assert event.timestamp == pytest.approx(
+                response.decision.request.timestamp + response.latency,
+                abs=1e-9,
+            )
+        emitted = Counter((classify(r), r.status) for r in responses)
+        expected = Counter(
+            {
+                (cls, status): count
+                for cls in report.metrics.class_names()
+                for status, count in report.metrics.for_class(
+                    cls
+                ).outcomes.items()
+                if count
+            }
+        )
+        assert emitted == expected
+
+    def test_open_loop_emits_one_response_per_request(self):
+        from repro.core.config import FrameworkConfig, PowConfig
+
+        trace, _ = make_trace(duration=5.0)
+        profiles = {e.request.client_ip: e.profile for e in trace}
+        framework = AIPoWFramework(
+            ConstantModel(0.0),
+            FixedPolicy(12),
+            FrameworkConfig(pow=PowConfig(ttl=0.3)),
+        )
+        events = self._listen(framework)
+        simulation = FastSimulation(
+            framework,
+            seed=7,
+            solve_deciders={"malicious": lambda d: False},
+            patiences={"benign": 0.5},
+            hash_rates={"benign": 10_000.0},
+        )
+        report = simulation.run(trace)
+        assert report.metrics.overall.total == report.requests
+        outcomes = report.metrics.overall.outcomes
+        # Every terminal kind is exercised: served, refused/impatient
+        # (abandoned) and past-TTL (expired).
+        assert outcomes[ResponseStatus.SERVED] > 0
+        assert outcomes[ResponseStatus.ABANDONED] > 0
+        assert outcomes[ResponseStatus.EXPIRED] > 0
+        self._check(
+            events,
+            report,
+            lambda r: profiles[r.decision.request.client_ip],
+        )
+
+    def test_network_give_ups_and_until_emit_nothing(self):
+        """Unadmitted requests and outcomes past ``until`` stay silent."""
+        from repro.net.sim.links import LinkSet
+
+        trace, _ = make_trace(duration=5.0)
+        profiles = {e.request.client_ip: e.profile for e in trace}
+        framework = fixed_framework(6)
+        events = self._listen(framework)
+        report = FastSimulation(
+            framework,
+            seed=3,
+            links=LinkSet(
+                {"benign": "lossy-mobile", "malicious": "lossy-mobile"},
+                seed=2,
+            ),
+        ).run(trace, until=4.0)
+        assert report.metrics.overall.total < report.requests
+        self._check(
+            events,
+            report,
+            lambda r: profiles[r.decision.request.client_ip],
+        )
+
+    def test_closed_loop_emits_one_response_per_exchange(self):
+        generator = WorkloadGenerator(seed=7)
+        clients = generator.population(BENIGN_PROFILE, 6)
+        sessions = [
+            SessionSpec(client=c, exchanges=3, think_time=0.2)
+            for c in clients
+        ]
+        framework = fixed_framework(6)
+        events = self._listen(framework)
+        report = FastSimulation(framework, seed=3).run_sessions(sessions)
+        assert report.completed_exchanges == len(events) == 18
+        self._check(events, report, lambda r: "benign")
+
+    def test_array_admission_emits_nothing(self):
+        framework = fixed_framework()
+        trace, _ = make_trace(duration=2.0)
+        simulation = FastSimulation(framework, seed=1, admission="array")
+        events = self._listen(framework)
+        simulation.run(trace)
+        assert events == []

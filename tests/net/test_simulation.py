@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
-from repro.net.sim.simulation import ServerModel, Simulation
+from repro.net.sim.fastsim import FastSimulation
+from repro.net.sim.simulation import ServerModel
 from repro.policies.linear import policy_2
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
@@ -33,7 +34,7 @@ def fixed_framework(difficulty=4):
 class TestBasicRuns:
     def test_all_requests_terminate(self):
         trace, _ = make_trace(duration=5.0)
-        simulation = Simulation(fixed_framework(), seed=1)
+        simulation = FastSimulation(fixed_framework(), seed=1)
         report = simulation.run(trace)
         assert report.requests == len(trace)
         assert report.metrics.overall.total == len(trace)
@@ -41,7 +42,7 @@ class TestBasicRuns:
     def test_deterministic_given_seeds(self):
         def run():
             trace, _ = make_trace(duration=5.0)
-            report = Simulation(fixed_framework(), seed=9).run(trace)
+            report = FastSimulation(fixed_framework(), seed=9).run(trace)
             overall = report.metrics.overall
             return (
                 overall.total,
@@ -53,19 +54,19 @@ class TestBasicRuns:
 
     def test_easy_puzzles_all_served(self):
         trace, _ = make_trace(duration=5.0)
-        report = Simulation(fixed_framework(difficulty=1), seed=2).run(trace)
+        report = FastSimulation(fixed_framework(difficulty=1), seed=2).run(trace)
         assert report.metrics.overall.goodput_fraction == 1.0
 
     def test_latency_floor_is_network_overhead(self):
         trace, _ = make_trace(duration=5.0)
         framework = fixed_framework(difficulty=0)
-        report = Simulation(framework, seed=3).run(trace)
+        report = FastSimulation(framework, seed=3).run(trace)
         floor = framework.config.timing.network_overhead
         assert report.metrics.overall.latencies.min() >= floor * 0.9
 
     def test_pow_disabled_serves_everything_fast(self):
         trace, _ = make_trace(duration=5.0)
-        report = Simulation(
+        report = FastSimulation(
             fixed_framework(difficulty=20), seed=4, pow_enabled=False
         ).run(trace)
         overall = report.metrics.overall
@@ -79,7 +80,7 @@ class TestDifficultyEffects:
         medians = []
         for difficulty in (1, 8, 14):
             trace, _ = make_trace(duration=5.0)
-            report = Simulation(
+            report = FastSimulation(
                 fixed_framework(difficulty), seed=5
             ).run(trace)
             medians.append(report.metrics.overall.served_latencies.median())
@@ -88,7 +89,7 @@ class TestDifficultyEffects:
     def test_adaptive_framework_penalises_malicious(self, fitted_dabr):
         trace, _ = make_trace(duration=10.0, benign=10, malicious=10)
         framework = AIPoWFramework(fitted_dabr, policy_2())
-        report = Simulation(framework, seed=6).run(trace)
+        report = FastSimulation(framework, seed=6).run(trace)
         benign = report.metrics.for_class("benign")
         malicious = report.metrics.for_class("malicious")
         assert malicious.difficulties.mean > benign.difficulties.mean + 1.0
@@ -101,7 +102,7 @@ class TestDifficultyEffects:
 class TestAbandonmentAndDeciders:
     def test_refusing_decider_abandons(self):
         trace, _ = make_trace(duration=5.0)
-        report = Simulation(
+        report = FastSimulation(
             fixed_framework(difficulty=6),
             seed=7,
             solve_deciders={"malicious": lambda d: False},
@@ -113,7 +114,7 @@ class TestAbandonmentAndDeciders:
 
     def test_impatient_profile_abandons_hard_puzzles(self):
         trace, _ = make_trace(duration=5.0)
-        report = Simulation(
+        report = FastSimulation(
             fixed_framework(difficulty=18),
             seed=8,
             patiences={"benign": 0.001, "malicious": 0.001},
@@ -124,7 +125,7 @@ class TestAbandonmentAndDeciders:
     def test_slow_hash_rate_increases_latency(self):
         def run(rate):
             trace, _ = make_trace(duration=5.0)
-            report = Simulation(
+            report = FastSimulation(
                 fixed_framework(difficulty=10),
                 seed=9,
                 hash_rates={"benign": rate, "malicious": rate},
@@ -150,7 +151,7 @@ class TestServerQueueing:
             trace, _ = generator.mixed_trace(
                 [(BENIGN_PROFILE, 5), (flood_profile, bots)], duration=5.0
             )
-            report = Simulation(
+            report = FastSimulation(
                 fixed_framework(0),
                 seed=10,
                 pow_enabled=False,
@@ -176,7 +177,7 @@ class TestExpiry:
             ConstantModel(0.0), FixedPolicy(16), config
         )
         trace, _ = make_trace(duration=5.0)
-        report = Simulation(
+        report = FastSimulation(
             framework,
             seed=11,
             hash_rates={"benign": 2_000.0, "malicious": 2_000.0},
@@ -189,7 +190,7 @@ class TestExpiry:
 class TestReportMetrics:
     def test_goodput_computation(self):
         trace, _ = make_trace(duration=5.0)
-        report = Simulation(fixed_framework(1), seed=12).run(trace)
+        report = FastSimulation(fixed_framework(1), seed=12).run(trace)
         assert report.goodput == pytest.approx(
             report.served / report.duration
         )

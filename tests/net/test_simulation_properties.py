@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
-from repro.net.sim.simulation import Simulation
+from repro.net.sim.fastsim import FastSimulation
 from repro.policies.linear import LinearPolicy
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
@@ -37,7 +37,7 @@ def test_requests_are_conserved(
         duration=3.0,
     )
     framework = AIPoWFramework(ConstantModel(5.0), FixedPolicy(difficulty))
-    report = Simulation(
+    report = FastSimulation(
         framework, seed=seed ^ 0x5555, pow_enabled=pow_enabled
     ).run(trace)
 
@@ -64,7 +64,7 @@ def test_latency_floor_holds_for_any_policy(seed, base, score):
     clients = generator.population(BENIGN_PROFILE, 3)
     trace = generator.open_loop_trace(clients, duration=2.0)
     framework = AIPoWFramework(ConstantModel(score), LinearPolicy(base=max(base, 1)))
-    report = Simulation(framework, seed=seed).run(trace)
+    report = FastSimulation(framework, seed=seed).run(trace)
     overall = report.metrics.overall
     if len(overall.served_latencies):
         floor = framework.config.timing.network_overhead
@@ -79,7 +79,7 @@ def test_all_outcomes_are_terminal_statuses(seed):
         [(BENIGN_PROFILE, 2), (MALICIOUS_PROFILE, 2)], duration=2.0
     )
     framework = AIPoWFramework(ConstantModel(9.0), FixedPolicy(12))
-    simulation = Simulation(
+    simulation = FastSimulation(
         framework,
         seed=seed,
         solve_deciders={"malicious": lambda d: d < 10},

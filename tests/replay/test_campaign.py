@@ -127,6 +127,18 @@ class TestRuns:
         assert sum(1 for e in run.trace if e.profile == "probe") == 4
 
 
+    def test_tracer_spans_reach_respond(self):
+        """Every sampled span closes on its terminal response."""
+        from repro.obs.tracing import RequestTracer
+
+        tracer = RequestTracer(sample_every=1)
+        run = run_campaign("flood-burst", tracer=tracer)
+        spans = tracer.drain()
+        assert len(spans) == run.result.extra["requests"]
+        assert {span["outcome"] for span in spans} == {"served", "denied"}
+        assert all(span["stages"][-1]["stage"] == "respond" for span in spans)
+
+
 class TestScaleSpecs:
     """Large-scale campaigns: validation and the vectorized run path."""
 
@@ -240,6 +252,31 @@ class TestScaleSpecs:
         classes = {row[0] for row in run.result.rows}
         assert {"benign", "malicious"} <= classes
         assert any("vectorized engine" in note for note in run.result.notes)
+
+    def test_scale_campaign_resolves_to_array_admission(self, monkeypatch):
+        """Nothing attached: the scale path builds no request objects."""
+        from repro.net.sim.fastsim import FastSimulation
+
+        modes = []
+        resolve = FastSimulation._admission_mode
+
+        def spy(simulation):
+            modes.append(resolve(simulation))
+            return modes[-1]
+
+        monkeypatch.setattr(FastSimulation, "_admission_mode", spy)
+        run_campaign(
+            CampaignSpec(
+                name="mini-array",
+                description="admission-mode probe",
+                duration=1.0,
+                seed=97,
+                populations=(("benign", 100), ("malicious", 50)),
+                attackers={"malicious": {"kind": "flood"}},
+                scale=ScaleSpec(server=(1e-5, 5e-6, 5e-5)),
+            )
+        )
+        assert modes == ["array"]
 
     def test_feedback_scale_campaign_farms_offsets(self):
         campaign = CampaignSpec(

@@ -17,8 +17,9 @@ import pathlib
 
 import pytest
 
+from reference_sim import Simulation
 from repro.attacks import make_attacker
-from repro.net.sim.simulation import Simulation
+from repro.net.sim.fastsim import FastSimulation
 from repro.replay import TraceRecorder, diff_decisions
 from repro.replay.campaign import CAMPAIGNS, _PROFILES
 from repro.traffic.generator import WorkloadGenerator
@@ -29,7 +30,8 @@ GOLDEN_SCENARIOS = sorted(
     path.name.removesuffix(".trace.jsonl")
     for path in GOLDEN_DIR.glob("*.trace.jsonl")
 )
-ENGINES = ("callback", "fast")
+#: Open-loop simulator per engine name.
+ENGINES = {"callback": Simulation, "fast": FastSimulation}
 
 
 def _campaign_decisions(name: str, engine: str):
@@ -54,7 +56,7 @@ def _campaign_decisions(name: str, engine: str):
         profile: make_attacker(spec).should_solve
         for profile, spec in campaign.attackers.items()
     }
-    simulation = Simulation(
+    simulation = ENGINES[engine](
         framework,
         seed=campaign.seed ^ 0x5CE4,
         solve_deciders=deciders,
@@ -62,7 +64,6 @@ def _campaign_decisions(name: str, engine: str):
             profile.name: profile.patience for profile, _ in populations
         },
         recorder=recorder,
-        engine=engine,
     )
     simulation.run(workload)
     return recorder.trace(seed=campaign.seed).decisions()
@@ -95,8 +96,6 @@ def _array_kernel_stream(framework, trace, seed, **sim_kwargs):
     the concatenated capture is the decision stream.
     """
     import numpy as np
-
-    from repro.net.sim.fastsim import FastSimulation
 
     captured: list[tuple] = []
     original = framework.difficulties_for_scores
@@ -143,9 +142,7 @@ def test_array_admission_kernel_matches_callback_decisions():
     recorder = TraceRecorder(
         sources={c.ip: (c.profile.name, c.true_score) for c in clients}
     )
-    Simulation(
-        build(), seed=3, recorder=recorder, engine="callback"
-    ).run(workload)
+    Simulation(build(), seed=3, recorder=recorder).run(workload)
     reference = recorder.trace().decisions()
 
     scores, difficulties = _array_kernel_stream(build(), workload, seed=3)
@@ -195,7 +192,6 @@ def test_array_kernel_load_adaptive_observation_order():
         seed=5,
         solve_deciders=refuse,
         recorder=recorder,
-        engine="callback",
     ).run(workload)
     reference = recorder.trace().decisions()
     assert reference

@@ -1,4 +1,4 @@
-"""Link-substrate decision parity: fast engine vs callback reference.
+"""Link-substrate decision parity: FastSimulation vs the callback reference.
 
 The lossy-link acceptance gate.  Loss draws and per-agent RTTs are
 counter-based hashes and retry schedules are exact float arithmetic,
@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import pytest
 
+from reference_sim import ClosedLoopSimulation, Simulation
 from repro.attacks import make_attacker
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
+from repro.net.sim.closedloop import SessionSpec
+from repro.net.sim.fastsim import FastSimulation
 from repro.net.sim.links import BandwidthTrace, LinkProfile, LinkSet
-from repro.net.sim.simulation import ServerModel, Simulation
+from repro.net.sim.simulation import ServerModel
 from repro.policies.linear import policy_2
 from repro.policies.table import FixedPolicy
 from repro.replay import TraceRecorder, diff_decisions
@@ -45,8 +47,19 @@ LOSSY_CAPPED = LinkProfile(
 )
 
 
+#: Open-loop simulator per engine name.
+ENGINES = {"callback": Simulation, "fast": FastSimulation}
+
+
 def _framework(config=None):
     return AIPoWFramework(ConstantModel(2.0), policy_2(), config)
+
+
+def _run_sessions(engine, framework, sessions, **kwargs):
+    """One closed-loop run on the reference or on FastSimulation."""
+    if engine == "callback":
+        return ClosedLoopSimulation(framework, **kwargs).run(sessions)
+    return FastSimulation(framework, **kwargs).run_sessions(sessions)
 
 
 def _run(engine, links, *, deciders=None, framework=None, seed=9):
@@ -58,13 +71,12 @@ def _run(engine, links, *, deciders=None, framework=None, seed=9):
     recorder = TraceRecorder(
         sources={c.ip: (c.profile.name, c.true_score) for c in clients}
     )
-    simulation = Simulation(
+    simulation = ENGINES[engine](
         framework or _framework(),
         server_model=ServerModel(challenge_cost=0.002),
         seed=seed,
         solve_deciders=deciders or {},
         recorder=recorder,
-        engine=engine,
         links=links,
     )
     report = simulation.run(workload)
@@ -208,10 +220,9 @@ class TestClosedLoopLinks:
         links = LinkSet({"benign": "datacenter"}, seed=4)
         reports = {}
         for engine in ("callback", "fast"):
-            simulation = ClosedLoopSimulation(
-                _framework(), seed=3, engine=engine, links=links
+            reports[engine] = _run_sessions(
+                engine, _framework(), sessions, seed=3, links=links
             )
-            reports[engine] = simulation.run(sessions)
         cb, fast = reports["callback"], reports["fast"]
         assert cb.completed_exchanges == len(sessions) * 3
         assert fast.completed_exchanges == cb.completed_exchanges
@@ -220,15 +231,14 @@ class TestClosedLoopLinks:
     @pytest.mark.parametrize("engine", ("callback", "fast"))
     def test_lossy_links_rejected_loudly(self, engine):
         with pytest.raises(ValueError, match="delay-only"):
-            ClosedLoopSimulation(
+            _run_sessions(
+                engine,
                 _framework(),
-                engine=engine,
+                self._sessions(),
                 links=LinkSet({"benign": "lossy-mobile"}),
             )
 
     def test_fast_run_sessions_rejects_lossy_links_directly(self):
-        from repro.net.sim.fastsim import FastSimulation
-
         simulation = FastSimulation(
             _framework(), links=LinkSet({"benign": "lossy-mobile"})
         )

@@ -7,7 +7,7 @@ from repro.core.records import ClientRequest
 from repro.core.spec import FrameworkSpec
 from repro.net.gateway.server import GatewayServer
 from repro.net.live.client import LiveClient
-from repro.net.sim.simulation import Simulation
+from repro.net.sim.fastsim import FastSimulation
 from repro.policies.linear import policy_1
 from repro.replay import TraceRecorder, spec_hash
 from repro.reputation.ensemble import ConstantModel
@@ -106,7 +106,7 @@ class TestSimulatorCapture:
         workload = generator.open_loop_trace(clients, duration=3.0)
         framework = FrameworkSpec(feedback=False).build()
         recorder = TraceRecorder()
-        report = Simulation(framework, seed=5, recorder=recorder).run(
+        report = FastSimulation(framework, seed=5, recorder=recorder).run(
             workload
         )
         assert len(recorder) == report.requests == len(workload)
